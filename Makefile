@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-scale bench-rpc bench-check bench-all obs-smoke agent-smoke ctl-smoke scripts-test fmt lint vet verify
+.PHONY: all build test race bench bench-scale bench-rpc bench-check bench-all obs-smoke agent-smoke ctl-smoke scripts-test perfbench-test fmt lint vet verify
 
 all: build test
 
@@ -27,9 +27,9 @@ bench:
 	$(GO) run ./cmd/bench -out BENCH_inference.json
 
 # bench-scale measures end-to-end episode throughput (flows/sec) on
-# synthetic 100/500/1000-node topologies, sequential vs batched decision
-# resolution, and writes BENCH_scale.json (schema: EXPERIMENTS.md,
-# "Scale benchmarks").
+# synthetic 100/500/1000-node topologies under the sequential engine,
+# per-decision vs batched decision resolution, and writes
+# BENCH_scale.json (schema: EXPERIMENTS.md, "Scale benchmarks").
 bench-scale:
 	$(GO) run ./cmd/bench -scale -out BENCH_scale.json
 
@@ -78,6 +78,13 @@ ctl-smoke:
 scripts-test:
 	./scripts/test_bench_check.sh
 
+# perfbench-test vets and tests the benchmark module. perfbench/ is its
+# own Go module (replace distcoord => ../), so `go build ./...` and
+# `go test ./...` at the root never compile it; this target catches API
+# changes in the root module that would break the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 fmt:
 	gofmt -l -w .
 
@@ -93,5 +100,5 @@ vet:
 	$(GO) vet ./...
 
 # verify is the pre-merge gate: build, full suite, lint, race detector,
-# and the shell-level script tests.
-verify: build test lint race scripts-test
+# the shell-level script tests, and the benchmark module's tests.
+verify: build test lint race scripts-test perfbench-test

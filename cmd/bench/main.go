@@ -10,10 +10,7 @@
 // With -scale it instead runs the scale harness: full episodes on
 // synthetic topologies of 100/500/1000 nodes under burst traffic, with
 // sequential versus batched decision resolution, reporting flows per
-// second (use -out BENCH_scale.json). The harness then sweeps the
-// sharded event loop (shards 1/2/4 at 1000 nodes, or -shards to pin the
-// multi-shard point); every sharded point is run twice and its metrics
-// fingerprints compared, so each record carries a determinism verdict.
+// second (use -out BENCH_scale.json).
 //
 // Each benchmark is calibrated and timed by testing.Benchmark, so ns/op
 // and allocs/op match what `go test -bench` would report. The record
@@ -53,9 +50,8 @@ type meta struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-	Jobs       int    `json:"jobs"`   // -jobs (0: all CPUs)
-	Batch      int    `json:"batch"`  // -batch (0 or 1: sequential)
-	Shards     int    `json:"shards"` // -shards (0 or 1: sequential engine)
+	Jobs       int    `json:"jobs"`  // -jobs (0: all CPUs)
+	Batch      int    `json:"batch"` // -batch (0 or 1: sequential)
 	UnixTime   int64  `json:"unix_time"`
 }
 
@@ -76,20 +72,13 @@ type result struct {
 type scaleResult struct {
 	Record      string  `json:"record"` // always "scale"
 	Nodes       int     `json:"nodes"`
-	Batch       int     `json:"batch"`  // MaxBatch (0: sequential path)
-	Shards      int     `json:"shards"` // event-loop shards (1: sequential engine)
+	Batch       int     `json:"batch"` // MaxBatch (0: sequential path)
 	Arrived     int     `json:"arrived"`
 	Decisions   int     `json:"decisions"`
 	Episodes    int     `json:"episodes"`
 	WallMs      float64 `json:"wall_ms"` // per episode
 	FlowsPerSec float64 `json:"flows_per_sec"`
 	Speedup     float64 `json:"speedup"` // flows/sec vs sequential, same nodes
-	// Handoffs counts cross-shard flow handoffs per episode (shard sweep
-	// only); Deterministic reports whether two runs of the same
-	// configuration produced byte-identical metrics (shard sweep only —
-	// bench_check.sh fails the build on a false value).
-	Handoffs      int   `json:"handoffs,omitempty"`
-	Deterministic *bool `json:"deterministic,omitempty"`
 }
 
 func main() {
@@ -122,7 +111,6 @@ func main() {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Jobs:       rt.Jobs(),
 		Batch:      rt.Batch(),
-		Shards:     rt.Shards(),
 		UnixTime:   time.Now().Unix(),
 	}); err != nil {
 		log.Fatal(err)
@@ -151,7 +139,7 @@ func main() {
 	case *rpc:
 		benchErr = runRPC(sink, *topology)
 	case *scale:
-		benchErr = runScale(sink, rt.Batch(), rt.Shards())
+		benchErr = runScale(sink, rt.Batch())
 	default:
 		benchErr = run(emit, *topology, rt.Batch())
 	}
@@ -284,7 +272,7 @@ func scaleScenario(n int) eval.Scenario {
 // burst cohorts see identical observations, pick identical actions, and
 // travel together — the steady state a scaled-out deployment batches.
 // A -batch value > 1 replaces the default batch-size sweep.
-func runScale(sink *telemetry.Sink, batch, shards int) error {
+func runScale(sink *telemetry.Sink, batch int) error {
 	batches := []int{0, 4, 16}
 	if batch > 1 {
 		batches = []int{0, batch}
@@ -328,7 +316,6 @@ func runScale(sink *telemetry.Sink, batch, shards int) error {
 				Record:      "scale",
 				Nodes:       n,
 				Batch:       mb,
-				Shards:      1,
 				Arrived:     m.Arrived,
 				Decisions:   m.Decisions,
 				Episodes:    r.N,
@@ -348,57 +335,7 @@ func runScale(sink *telemetry.Sink, batch, shards int) error {
 				n, mb, rec.WallMs, rec.FlowsPerSec, rec.Speedup)
 		}
 	}
-	return runShardScale(sink, shards)
-}
-
-// shardScaleScenario builds the sharded-scale workload: the n-node
-// synthetic topology with eight ingresses spread by region partitioning,
-// each paired with a nearby egress two hops out. Localized ingress/egress
-// pairs keep most flows inside their event-loop shard, which is the
-// deployment shape the conservative lookahead scales best on; the
-// remainder crosses shards and exercises the handoff path.
-func shardScaleScenario(n int) eval.Scenario {
-	s := scaleScenario(n)
-	g := s.Graph
-	regions := graph.PartitionRegions(g, 8)
-	picked := make([]bool, 8)
-	s.IngressNodes = s.IngressNodes[:0]
-	s.IngressEgresses = nil
-	for v := 0; v < g.NumNodes() && len(s.IngressNodes) < 8; v++ {
-		r := regions[v]
-		if picked[r] {
-			continue
-		}
-		picked[r] = true
-		in := graph.NodeID(v)
-		eg := g.Neighbors(in)[0].Neighbor
-		if hop := g.Neighbors(eg); len(hop) > 1 && hop[0].Neighbor != in {
-			eg = hop[0].Neighbor
-		} else if len(hop) > 1 {
-			eg = hop[1].Neighbor
-		}
-		s.IngressNodes = append(s.IngressNodes, in)
-		s.IngressEgresses = append(s.IngressEgresses, eg)
-	}
-	s.Egress = s.IngressEgresses[0]
-	return s
-}
-
-// handoffTally records the cumulative cross-shard handoff count each
-// shard reports at the epoch barriers; totals reflect the most recent
-// completed run.
-type handoffTally struct{ perShard map[int]int }
-
-func (t *handoffTally) OnShardEpoch(shard, epoch, heapDepth, handoffs int) {
-	t.perShard[shard] = handoffs
-}
-
-func (t *handoffTally) total() int {
-	n := 0
-	for _, h := range t.perShard {
-		n += h
-	}
-	return n
+	return nil
 }
 
 // fingerprint reduces a metrics struct to a comparable digest; two runs
@@ -411,90 +348,4 @@ func fingerprint(m *simnet.Metrics) string {
 		panic(err)
 	}
 	return fmt.Sprintf("%x", md5.Sum(data))
-}
-
-// runShardScale measures the sharded event loop at the largest scale
-// point (1000 nodes) with batched argmax decisions: shards 1 versus 2
-// versus 4 (or -shards to pin the multi-shard point). Speedup is
-// flows/sec relative to the single-shard engine on the identical
-// workload. Each sharded configuration runs twice before timing; the
-// emitted record carries whether the two runs' metrics fingerprints
-// matched, so regressions of the determinism contract surface in the
-// benchmark artifact itself (bench_check.sh rejects a false value).
-func runShardScale(sink *telemetry.Sink, shards int) error {
-	sweep := []int{1, 2, 4}
-	if shards > 1 {
-		sweep = []int{1, shards}
-	}
-	const n = 1000
-	s := shardScaleScenario(n)
-	inst, err := s.Instantiate(1)
-	if err != nil {
-		return err
-	}
-	adapter := coord.NewAdapter(inst.Graph, inst.APSP)
-	agent, err := rl.NewAgent(rl.AgentConfig{
-		ObsSize:    adapter.ObsSize(),
-		NumActions: adapter.NumActions(),
-		Hidden:     []int{256, 256},
-	})
-	if err != nil {
-		return err
-	}
-	dist, err := coord.NewDistributed(adapter, agent.Actor)
-	if err != nil {
-		return err
-	}
-	dist.Stochastic = false
-	var baseline float64
-	for _, k := range sweep {
-		tally := &handoffTally{perShard: map[int]int{}}
-		opts := eval.RunOptions{MaxBatch: 16}
-		if k > 1 {
-			opts.Shards = k
-			opts.ShardObserver = tally
-		}
-		m, err := inst.RunWith(dist, opts)
-		if err != nil {
-			return err
-		}
-		m2, err := inst.RunWith(dist, opts)
-		if err != nil {
-			return err
-		}
-		det := fingerprint(m) == fingerprint(m2)
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := inst.RunWith(dist, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		wallMs := float64(r.T.Nanoseconds()) / float64(r.N) / 1e6
-		rec := scaleResult{
-			Record:        "scale",
-			Nodes:         n,
-			Batch:         16,
-			Shards:        k,
-			Arrived:       m.Arrived,
-			Decisions:     m.Decisions,
-			Episodes:      r.N,
-			WallMs:        wallMs,
-			FlowsPerSec:   float64(m.Arrived) / (wallMs / 1e3),
-			Speedup:       1,
-			Handoffs:      tally.total(),
-			Deterministic: &det,
-		}
-		if k == 1 {
-			baseline = rec.FlowsPerSec
-		} else if baseline > 0 {
-			rec.Speedup = rec.FlowsPerSec / baseline
-		}
-		if err := sink.Emit(rec); err != nil {
-			return err
-		}
-		fmt.Printf("scale nodes=%-5d shards=%-2d %8.1f ms/episode %10.0f flows/sec %6.2fx deterministic=%t handoffs=%d\n",
-			n, k, rec.WallMs, rec.FlowsPerSec, rec.Speedup, det, rec.Handoffs)
-	}
-	return nil
 }

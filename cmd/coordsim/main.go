@@ -11,7 +11,6 @@
 //	coordsim -algo sp -metrics-out metrics.json # machine-readable summary
 //	coordsim -algo drl -faults node-outage      # resilience run + recovery metrics
 //	coordsim -algo drl -jobs 2                  # cap CPU use (GOMAXPROCS)
-//	coordsim -algo sp -shards 4                 # sharded multi-core event loop
 package main
 
 import (
@@ -187,9 +186,6 @@ func run(c *runConfig) error {
 		}
 	default:
 		return fmt.Errorf("unknown algorithm %q (want drl, central, gcasp, sp)", c.algo)
-	}
-	if err := c.shared.ValidateShards(coordinator); err != nil {
-		return err
 	}
 
 	opts := rt.RunOptions()

@@ -52,10 +52,6 @@ func (GCASP) Decide(st *simnet.State, f *simnet.Flow, v graph.NodeID, now float6
 	return forwardTowards(st, v, f.Egress)
 }
 
-// ForShard implements simnet.ShardableCoordinator: GCASP is stateless,
-// so every shard shares it.
-func (g GCASP) ForShard(shard, shards int) simnet.Coordinator { return g }
-
 // emptiestNeighbor returns the deadline-feasible neighbor with the most
 // free compute, regardless of whether the requested component fits there
 // right now — resources may free up by the time the flow arrives.

@@ -34,10 +34,6 @@ func (SP) Decide(st *simnet.State, f *simnet.Flow, v graph.NodeID, now float64) 
 	return forwardTowards(st, v, f.Egress)
 }
 
-// ForShard implements simnet.ShardableCoordinator: SP is stateless, so
-// every shard shares it.
-func (s SP) ForShard(shard, shards int) simnet.Coordinator { return s }
-
 // forwardTowards returns the action forwarding to the shortest-path next
 // hop from v to dst, or 0 when there is none (keeps the flow, which for a
 // disconnected destination eventually expires).

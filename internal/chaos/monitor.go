@@ -83,10 +83,6 @@ func (m *Monitor) Report() []FaultReport {
 	return reports
 }
 
-// Tracker exposes the underlying recovery tracker (tests, custom
-// analysis windows).
-func (m *Monitor) Tracker() *telemetry.RecoveryTracker { return m.tracker }
-
 // Listeners composes several simnet listeners into one; events fan out
 // in order. It lets a chaos Monitor ride alongside an existing listener
 // without the simulator knowing about composition.

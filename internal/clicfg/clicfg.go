@@ -52,11 +52,6 @@ type Flags struct {
 	// resolved with up to this many flows per inference call
 	// (simnet.Config.MaxBatch). 0 or 1 keeps the sequential path.
 	Batch int
-	// Shards runs simulations that honor it on the sharded multi-core
-	// event loop with this many shards (simnet.Config.Shards). 0 or 1
-	// keeps the byte-identical sequential engine; > 1 requires a
-	// coordinator with the ShardableCoordinator capability.
-	Shards int
 	// GridLog is the JSONL path for per-cell experiment grid records
 	// (eval.GridRecord).
 	GridLog string
@@ -95,7 +90,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Faults, "faults", "", "fault-injection spec: profile[:key=val,...] (node-outage, link-outage, link-cascade, surge, instance-kill; see EXPERIMENTS.md)")
 	fs.IntVar(&f.Jobs, "jobs", 0, "bound parallelism: GOMAXPROCS and the experiment worker pool (0: all CPUs); output is identical for any value")
 	fs.IntVar(&f.Batch, "batch", 0, "batched decision resolution: max flows per inference call for same-(node,time) decisions (0 or 1: sequential)")
-	fs.IntVar(&f.Shards, "shards", 0, "sharded multi-core event loop: number of node-region shards (0 or 1: sequential engine; >1 requires a shardable coordinator)")
 	fs.StringVar(&f.GridLog, "grid-log", "", "write per-cell experiment grid records to this JSONL file")
 	fs.StringVar(&f.ObsAddr, "obs-addr", "", "serve the live observability endpoint (/metrics, /snapshot, /run) on this address (e.g. localhost:9090, or :0 for a free port)")
 	fs.DurationVar(&f.ObsWait, "obs-wait", 0, "keep the observability endpoint serving this long after the run completes (requires -obs-addr)")
@@ -198,12 +192,6 @@ func (f *Flags) Validate() error {
 	if f.Batch < 0 {
 		return fmt.Errorf("clicfg: -batch must be >= 0, got %d", f.Batch)
 	}
-	if f.Shards < 0 {
-		return fmt.Errorf("clicfg: -shards must be >= 0, got %d", f.Shards)
-	}
-	if f.Shards > 1 && f.Jobs == 1 {
-		return fmt.Errorf("clicfg: -shards %d cannot run on one CPU; raise -jobs or leave it 0 (all CPUs)", f.Shards)
-	}
 	if f.ObsWait != 0 && f.ObsAddr == "" {
 		return fmt.Errorf("clicfg: -obs-wait requires -obs-addr")
 	}
@@ -215,9 +203,6 @@ func (f *Flags) Validate() error {
 	}
 	if f.ModelPush && f.Agents == "" {
 		return fmt.Errorf("clicfg: -model-push requires -agents (there is no fleet to push to)")
-	}
-	if f.Agents != "" && f.Shards > 1 {
-		return fmt.Errorf("clicfg: -agents is incompatible with -shards %d (remote decisions are not shardable)", f.Shards)
 	}
 	for _, ep := range strings.Split(f.Agents, ",") {
 		if f.Agents != "" && strings.TrimSpace(ep) == "" {
@@ -239,35 +224,18 @@ func (f *Flags) AgentEndpoints() []string {
 	return eps
 }
 
-// ValidateShards rejects -shards > 1 for coordinators without the
-// ShardableCoordinator capability, turning a mid-run simnet error into
-// an upfront flag error naming the algorithm. Call it once the
-// coordinator is constructed.
-func (f *Flags) ValidateShards(c simnet.Coordinator) error {
-	if f.Shards <= 1 {
-		return nil
-	}
-	if simnet.Capabilities(c).Shard == nil {
-		return fmt.Errorf("clicfg: -shards %d is incompatible with coordinator %q (no ForShard capability; deterministic sharding is undefined for it)", f.Shards, c.Name())
-	}
-	return nil
-}
-
 // FaultSpec returns the parsed -faults spec (zero value when disabled).
 func (rt *Runtime) FaultSpec() chaos.Spec { return rt.faults }
 
 // RunOptions is the single flag→options mapping: it builds the
 // eval.RunOptions a simulation run should use under these flags — the
-// tracer (flow trace + live collector), batched decisions, sharding, and
-// the per-shard progress gauges. Binaries layer run-specific fields
-// (Listener, agent fleets) on top of the returned value instead of
-// re-deriving the shared ones.
+// tracer (flow trace + live collector) and batched decisions. Binaries
+// layer run-specific fields (Listener, agent fleets) on top of the
+// returned value instead of re-deriving the shared ones.
 func (rt *Runtime) RunOptions() eval.RunOptions {
 	return eval.RunOptions{
-		Tracer:        rt.Tracer(),
-		MaxBatch:      rt.Batch(),
-		Shards:        rt.Shards(),
-		ShardObserver: rt.ShardObserver(),
+		Tracer:   rt.Tracer(),
+		MaxBatch: rt.Batch(),
 	}
 }
 
@@ -371,40 +339,11 @@ func (rt *Runtime) EmitEpisode(rec interface{}) {
 	}
 }
 
-// EpisodeLogEnabled reports whether -episode-log was set.
-func (rt *Runtime) EpisodeLogEnabled() bool { return rt.episodeSink != nil }
-
 // Jobs returns the -jobs value (0: all CPUs).
 func (rt *Runtime) Jobs() int { return rt.flags.Jobs }
 
 // Batch returns the -batch value (0 or 1: sequential decisions).
 func (rt *Runtime) Batch() int { return rt.flags.Batch }
-
-// Shards returns the -shards value (0 or 1: sequential engine).
-func (rt *Runtime) Shards() int { return rt.flags.Shards }
-
-// ShardObserver returns an observer publishing per-shard progress gauges
-// (shard.<i>.epoch, shard.<i>.heap_depth, shard.<i>.handoffs) to the
-// runtime's registry — assign it to simnet.Config.ShardObserver (or
-// eval.RunOptions.ShardObserver) on sharded runs. The observer is safe
-// to install unconditionally: sharded runs invoke it between epochs,
-// single-shard runs never do.
-func (rt *Runtime) ShardObserver() simnet.ShardObserver {
-	return shardGauges{reg: rt.reg}
-}
-
-// shardGauges folds shard epoch reports into registry gauges.
-type shardGauges struct {
-	reg *telemetry.Registry
-}
-
-// OnShardEpoch implements simnet.ShardObserver.
-func (g shardGauges) OnShardEpoch(shard, epoch, heapDepth, handoffs int) {
-	prefix := fmt.Sprintf("shard.%d.", shard)
-	g.reg.Gauge(prefix + "epoch").Set(float64(epoch))
-	g.reg.Gauge(prefix + "heap_depth").Set(float64(heapDepth))
-	g.reg.Gauge(prefix + "handoffs").Set(float64(handoffs))
-}
 
 // GridLogEnabled reports whether -grid-log was set.
 func (rt *Runtime) GridLogEnabled() bool { return rt.gridSink != nil }

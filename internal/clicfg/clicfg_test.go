@@ -246,19 +246,12 @@ func TestFlagValidation(t *testing.T) {
 		{"defaults", nil, true},
 		{"negative jobs", []string{"-jobs", "-1"}, false},
 		{"negative batch", []string{"-batch", "-2"}, false},
-		{"negative shards", []string{"-shards", "-1"}, false},
-		{"shards on one cpu", []string{"-shards", "4", "-jobs", "1"}, false},
-		{"shards with default jobs", []string{"-shards", "4"}, true},
-		{"shards with enough jobs", []string{"-shards", "4", "-jobs", "2"}, true},
-		{"single shard on one cpu", []string{"-shards", "1", "-jobs", "1"}, true},
-		{"batch and shards together", []string{"-shards", "2", "-batch", "16"}, true},
 		{"obs-wait without obs-addr", []string{"-obs-wait", "5s"}, false},
 		{"agentd serving", []string{"-listen", "127.0.0.1:0"}, true},
 		{"remote fleet", []string{"-agents", "127.0.0.1:7501,127.0.0.1:7502"}, true},
 		{"listen and agents together", []string{"-listen", ":0", "-agents", "127.0.0.1:7501"}, false},
 		{"model-push without agents", []string{"-model-push"}, false},
 		{"model-push with agents", []string{"-model-push", "-agents", "127.0.0.1:7501"}, true},
-		{"agents with shards", []string{"-agents", "127.0.0.1:7501", "-shards", "2"}, false},
 		{"empty agent endpoint", []string{"-agents", "127.0.0.1:7501,,127.0.0.1:7502"}, false},
 	}
 	for _, tc := range cases {
@@ -288,7 +281,7 @@ func TestAgentEndpoints(t *testing.T) {
 // hand-threading.
 func TestRunOptionsBuilder(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	rt, err := parseArgs(t, "-batch", "16", "-shards", "2", "-flow-trace", tracePath).Apply()
+	rt, err := parseArgs(t, "-batch", "16", "-flow-trace", tracePath).Apply()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,14 +290,8 @@ func TestRunOptionsBuilder(t *testing.T) {
 	if opts.MaxBatch != 16 {
 		t.Errorf("MaxBatch = %d, want 16", opts.MaxBatch)
 	}
-	if opts.Shards != 2 {
-		t.Errorf("Shards = %d, want 2", opts.Shards)
-	}
 	if opts.Tracer == nil {
 		t.Error("Tracer nil despite -flow-trace")
-	}
-	if opts.ShardObserver == nil {
-		t.Error("ShardObserver nil; sharded runs would lose progress gauges")
 	}
 
 	rt2, err := parseArgs(t).Apply()
@@ -313,7 +300,7 @@ func TestRunOptionsBuilder(t *testing.T) {
 	}
 	defer rt2.Close()
 	opts2 := rt2.RunOptions()
-	if opts2.MaxBatch != 0 || opts2.Shards != 0 || opts2.Tracer != nil {
+	if opts2.MaxBatch != 0 || opts2.Tracer != nil {
 		t.Errorf("default run options not zero-valued: %+v", opts2)
 	}
 }
@@ -328,174 +315,4 @@ func TestDecideRTTOnRegistry(t *testing.T) {
 	if got := rt.Registry().Histogram("rpc_decide_rtt_us").Count(); got != 1 {
 		t.Errorf("rpc_decide_rtt_us count = %d, want 1", got)
 	}
-}
-
-// shardableEgress is egressCoord with the ForShard capability.
-type shardableEgress struct{ egressCoord }
-
-func (c shardableEgress) ForShard(shard, shards int) simnet.Coordinator { return c }
-
-// TestValidateShards pins the coordinator capability check: -shards > 1
-// with a coordinator lacking ForShard must fail upfront, naming the
-// algorithm.
-func TestValidateShards(t *testing.T) {
-	f := parseArgs(t, "-shards", "2")
-	if err := f.ValidateShards(egressCoord{}); err == nil {
-		t.Error("-shards 2 with a non-shardable coordinator accepted")
-	} else if !strings.Contains(err.Error(), "test-egress") {
-		t.Errorf("error does not name the coordinator: %v", err)
-	}
-	if err := f.ValidateShards(shardableEgress{}); err != nil {
-		t.Errorf("shardable coordinator rejected: %v", err)
-	}
-	if err := parseArgs(t).ValidateShards(egressCoord{}); err != nil {
-		t.Errorf("sequential run rejected a non-shardable coordinator: %v", err)
-	}
-}
-
-// twoClusterGraph builds two m-node line clusters joined by one bridge
-// link for the sharded smoke test.
-func twoClusterGraph(m int) *graph.Graph {
-	g := graph.New("two-clusters")
-	for i := 0; i < 2*m; i++ {
-		g.AddNode("", 0, float64(i))
-		g.SetNodeCapacity(graph.NodeID(i), 4)
-	}
-	link := func(a, b graph.NodeID, delay float64) {
-		if err := g.AddLink(a, b, delay); err != nil {
-			panic(err)
-		}
-		g.SetLinkCapacity(g.NumLinks()-1, 5)
-	}
-	for i := 0; i < m-1; i++ {
-		link(graph.NodeID(i), graph.NodeID(i+1), 1)
-		link(graph.NodeID(m+i), graph.NodeID(m+i+1), 1)
-	}
-	link(graph.NodeID(m-1), graph.NodeID(m), 4)
-	return g
-}
-
-// TestShardedObsSmoke is the race-tier smoke test of the sharding PR: a
-// multi-shard simulation with fault injection and flow tracing runs
-// while HTTP scrapers hammer /metrics, with the runtime's shard observer
-// publishing per-shard gauges from the epoch barriers. Run under
-// `make race`, this covers the shard goroutines, the locked listener
-// path, the trace buffers, and the registry concurrently.
-func TestShardedObsSmoke(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	rt, err := parseArgs(t, "-obs-addr", "127.0.0.1:0", "-flow-trace", tracePath, "-shards", "2").Apply()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	base := "http://" + rt.ObsAddr()
-
-	const m = 5
-	g := twoClusterGraph(m)
-	part := make([]int, 2*m)
-	for i := m; i < 2*m; i++ {
-		part[i] = 1
-	}
-	egA, egB := graph.NodeID(m-1), graph.NodeID(2*m-1)
-	ends := &lockedEndCount{ids: map[int]int{}}
-	cfg := simnet.Config{
-		Graph: g,
-		Service: &simnet.Service{Name: "svc", Chain: []*simnet.Component{
-			{Name: "c1", ProcDelay: 2, IdleTimeout: 500, ResourcePerRate: 1},
-		}},
-		Ingresses: []simnet.Ingress{
-			{Node: 0, Arrivals: traffic.Fixed{Interval: 2}, Egress: &egB},
-			{Node: m, Arrivals: traffic.Fixed{Interval: 2}, Egress: &egA},
-		},
-		Egress:      egB,
-		Template:    simnet.FlowTemplate{Rate: 1, Duration: 1, Deadline: 100},
-		Horizon:     300,
-		Coordinator: shardableEgress{},
-		Listener:    ends,
-		Faults: []simnet.Fault{
-			{Time: 50, Kind: simnet.FaultNodeDown, Node: 2},
-			{Time: 100, Kind: simnet.FaultNodeUp, Node: 2},
-			{Time: 150, Kind: simnet.FaultLinkDown, Link: 2 * (m - 1)},
-			{Time: 200, Kind: simnet.FaultLinkUp, Link: 2 * (m - 1)},
-		},
-		Tracer:        rt.Tracer(),
-		Shards:        rt.Shards(),
-		Partition:     part,
-		ShardObserver: rt.ShardObserver(),
-	}
-
-	var metrics *simnet.Metrics
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		s, err := simnet.New(cfg)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		mm, err := s.Run()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if s.Handoffs() == 0 {
-			t.Error("cross-cluster workload produced no handoffs")
-		}
-		metrics = mm
-	}()
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get(base + "/metrics")
-				if err != nil {
-					t.Errorf("GET /metrics: %v", err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck
-				resp.Body.Close()
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	if metrics.Faults != 2 {
-		t.Errorf("Faults = %d, want 2 (one node-down, one link-down, counted once each)", metrics.Faults)
-	}
-	if got := len(ends.ids); got != metrics.Arrived {
-		t.Errorf("listener saw %d flows end, want %d", got, metrics.Arrived)
-	}
-	snap := rt.Registry().Snapshot()
-	for _, gauge := range []string{"shard.0.epoch", "shard.1.epoch", "shard.0.heap_depth", "shard.1.handoffs"} {
-		if _, ok := snap.Gauges[gauge]; !ok {
-			t.Errorf("per-shard gauge %q missing from registry", gauge)
-		}
-	}
-	if snap.Gauges["shard.0.epoch"] <= 0 {
-		t.Errorf("shard.0.epoch = %g, want > 0", snap.Gauges["shard.0.epoch"])
-	}
-}
-
-// lockedEndCount counts flow terminations per ID; the simulator wraps
-// shared listeners in a serializing layer, so the map needs no lock of
-// its own — the race detector verifies exactly that.
-type lockedEndCount struct {
-	simnet.NopListener
-	ids map[int]int
-}
-
-func (l *lockedEndCount) OnFlowEnd(f *simnet.Flow, success bool, cause simnet.DropCause, now float64) {
-	l.ids[f.ID]++
 }

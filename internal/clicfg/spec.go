@@ -15,7 +15,7 @@ import (
 // This file defines the serializable experiment specifications the
 // controller service accepts over HTTP: a RunSpec describes one
 // evaluation point (the JSON twin of the shared flag surface — the same
-// algo/topology/pattern/faults/batch/shards vocabulary every binary
+// algo/topology/pattern/faults/batch vocabulary every binary
 // takes on the command line), and a SweepSpec is a cross-product of
 // RunSpec variations along named axes. Both validate strictly at
 // submission time, so a malformed sweep is rejected before any cell is
@@ -116,10 +116,9 @@ type RunSpec struct {
 	// Faults is a chaos spec string ("node-outage:count=2,seed=7"); empty
 	// or "none" runs fault-free.
 	Faults string `json:"faults,omitempty"`
-	// MaxBatch and Shards select the execution mode per cell (cf. -batch
-	// and -shards); 0 or 1 keeps the sequential path.
+	// MaxBatch selects the execution mode per cell (cf. -batch); 0 or 1
+	// keeps the sequential path.
 	MaxBatch int `json:"max_batch,omitempty"`
-	Shards   int `json:"shards,omitempty"`
 	// Train overrides the DRL training budget (algo "drl" only).
 	Train *TrainSpec `json:"train,omitempty"`
 }
@@ -150,12 +149,6 @@ func (s RunSpec) Validate() error {
 	}
 	if s.MaxBatch < 0 {
 		return fmt.Errorf("clicfg: spec max_batch must be >= 0, got %d", s.MaxBatch)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("clicfg: spec shards must be >= 0, got %d", s.Shards)
-	}
-	if s.Shards > 1 && s.Algo == "central" {
-		return fmt.Errorf("clicfg: spec shards %d is incompatible with algo central (no ForShard capability)", s.Shards)
 	}
 	if s.Topology != "" {
 		if _, err := graph.ByName(s.Topology); err != nil {
@@ -214,7 +207,7 @@ func (s RunSpec) Scenario() (eval.Scenario, error) {
 
 // RunOptions returns the per-cell execution options the spec selects.
 func (s RunSpec) RunOptions() eval.RunOptions {
-	return eval.RunOptions{MaxBatch: s.MaxBatch, Shards: s.Shards}
+	return eval.RunOptions{MaxBatch: s.MaxBatch}
 }
 
 // TrainBudget resolves the training budget (DefaultTrainBudget when
@@ -239,11 +232,6 @@ var sweepParams = map[string]func(*RunSpec, string) error{
 	"max_batch": func(s *RunSpec, v string) error {
 		n, err := strconv.Atoi(v)
 		s.MaxBatch = n
-		return err
-	},
-	"shards": func(s *RunSpec, v string) error {
-		n, err := strconv.Atoi(v)
-		s.Shards = n
 		return err
 	},
 	"faults": func(s *RunSpec, v string) error { s.Faults = v; return nil },
@@ -292,7 +280,7 @@ type SweepSpec struct {
 }
 
 // SweepPoint is one expanded sweep combination: the resolved spec plus
-// the axis values that produced it ("shards=2,algo=sp"), which the
+// the axis values that produced it ("max_batch=8,algo=sp"), which the
 // sweep matrix uses as the point label.
 type SweepPoint struct {
 	Label string  `json:"label"`

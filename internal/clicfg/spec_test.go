@@ -10,7 +10,7 @@ func TestRunSpecValidate(t *testing.T) {
 	ok := []RunSpec{
 		{Algo: "sp"},
 		{Algo: "drl", Train: &TrainSpec{Episodes: 5}},
-		{Algo: "gcasp", Shards: 2, MaxBatch: 8},
+		{Algo: "gcasp", MaxBatch: 8},
 		{Algo: "central", Topology: "Abilene", Pattern: "mmpp", Faults: "node-outage:count=1"},
 	}
 	for i, s := range ok {
@@ -25,7 +25,6 @@ func TestRunSpecValidate(t *testing.T) {
 		{RunSpec{}, "algo"},
 		{RunSpec{Algo: "dqn"}, "algo"},
 		{RunSpec{Algo: "sp", Seeds: -1}, "seeds"},
-		{RunSpec{Algo: "central", Shards: 2}, "central"},
 		{RunSpec{Algo: "sp", Topology: "Nowhere"}, "Nowhere"},
 		{RunSpec{Algo: "sp", Pattern: "burst"}, "pattern"},
 		{RunSpec{Algo: "sp", Faults: "meteor-strike"}, "meteor-strike"},
@@ -92,7 +91,7 @@ func TestSweepExpandCrossProduct(t *testing.T) {
 		Base: RunSpec{Algo: "sp", Horizon: 200},
 		Axes: []SweepAxis{
 			{Param: "algo", Values: []string{"sp", "gcasp"}},
-			{Param: "shards", Values: []string{"1", "2"}},
+			{Param: "max_batch", Values: []string{"0", "8"}},
 		},
 	}
 	pts, err := sw.Expand()
@@ -102,7 +101,7 @@ func TestSweepExpandCrossProduct(t *testing.T) {
 	if len(pts) != 4 {
 		t.Fatalf("expanded to %d points, want 4", len(pts))
 	}
-	wantLabels := []string{"algo=sp,shards=1", "algo=sp,shards=2", "algo=gcasp,shards=1", "algo=gcasp,shards=2"}
+	wantLabels := []string{"algo=sp,max_batch=0", "algo=sp,max_batch=8", "algo=gcasp,max_batch=0", "algo=gcasp,max_batch=8"}
 	for i, p := range pts {
 		if p.Label != wantLabels[i] {
 			t.Errorf("point %d label = %q, want %q", i, p.Label, wantLabels[i])
@@ -111,7 +110,7 @@ func TestSweepExpandCrossProduct(t *testing.T) {
 			t.Errorf("point %d lost base horizon: %+v", i, p.Spec)
 		}
 	}
-	if pts[1].Spec.Shards != 2 || pts[2].Spec.Algo != "gcasp" {
+	if pts[1].Spec.MaxBatch != 8 || pts[2].Spec.Algo != "gcasp" {
 		t.Errorf("axis values not applied: %+v", pts)
 	}
 }
@@ -129,14 +128,15 @@ func TestSweepExpandRejections(t *testing.T) {
 		want string
 	}{
 		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "color", Values: []string{"red"}}}}, "unknown"},
-		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "shards"}}}, "no values"},
-		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "shards", Values: []string{"two"}}}}, "shards"},
-		// A point that only becomes invalid after combination: central is
-		// not shardable.
-		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{
-			{Param: "algo", Values: []string{"central"}},
-			{Param: "shards", Values: []string{"2"}},
-		}}, "central"},
+		// A removed param must fail loudly, not silently run sequential.
+		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "shards", Values: []string{"2"}}}}, "unknown"},
+		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "max_batch"}}}, "no values"},
+		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "max_batch", Values: []string{"two"}}}}, "max_batch"},
+		// A point that only becomes invalid after combination: a training
+		// budget is drl-only.
+		{SweepSpec{Base: RunSpec{Algo: "drl", Train: &TrainSpec{Episodes: 5}}, Axes: []SweepAxis{
+			{Param: "algo", Values: []string{"sp"}},
+		}}, "drl"},
 	}
 	for i, tc := range cases {
 		_, err := tc.sw.Expand()

@@ -74,13 +74,6 @@ func (d *Distributed) Decide(st *simnet.State, f *simnet.Flow, v graph.NodeID, n
 	return n.decide(d.Stochastic)
 }
 
-// ForShard implements simnet.ShardableCoordinator. Distributed is
-// shard-safe as-is: Decide touches only the decided node's private state
-// (its own actor clone, RNG stream, and workspaces) and the adapter is
-// read-only after construction, so every shard can share this instance —
-// node states are disjoint across shards by the partition.
-func (d *Distributed) ForShard(shard, shards int) simnet.Coordinator { return d }
-
 // decide runs the node's policy on the observation currently in n.obs.
 func (n *nodeState) decide(stochastic bool) int {
 	logits := n.actor.ForwardInto(n.ws, n.obs)

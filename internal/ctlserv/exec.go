@@ -107,7 +107,7 @@ const monitorInterval = 100
 
 // registerPoints builds the grid: one Train job per DRL point, one
 // group of evaluation cells per point, each under the point's own run
-// options (MaxBatch/Shards sweeps).
+// options (MaxBatch sweeps).
 func registerPoints(eng *eval.Engine, points []clicfg.SweepPoint, policies map[string]*eval.PolicyJob) error {
 	for _, p := range points {
 		sc, err := p.Spec.Scenario()

@@ -427,12 +427,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rs := s.active[id]
 	s.mu.Unlock()
+	// A run persists its terminal manifest before it leaves the active
+	// set, so a run still active here may already be finished: the
+	// manifest, read after the lookup, decides.
+	m, err := s.st.GetManifest(id)
+	if err != nil {
+		httpError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	switch m.Status {
+	case store.StatusDone, store.StatusFailed, store.StatusCanceled:
+		rs = nil
+	}
 	if rs == nil {
-		m, err := s.st.GetManifest(id)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
-		}
 		httpError(w, http.StatusConflict, "run %s already %s", id, m.Status)
 		return
 	}

@@ -234,6 +234,7 @@ func TestSubmissionValidation(t *testing.T) {
 		{"/sweeps", clicfg.SweepSpec{Base: clicfg.RunSpec{Algo: "sp"},
 			Axes: []clicfg.SweepAxis{{Param: "color", Values: []string{"red"}}}}, "unknown"},
 		{"/runs", map[string]interface{}{"algo": "sp", "bogus_field": 1}, "bogus_field"},
+		{"/runs", map[string]interface{}{"algo": "sp", "shards": 2}, "shards"},
 	}
 	for i, tc := range cases {
 		code, body := postJSON(t, ts.URL+tc.url, tc.body)

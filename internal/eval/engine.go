@@ -209,7 +209,7 @@ func (e *Engine) Eval(figure, x, algo string, s Scenario, mk CoordinatorFactory,
 }
 
 // EvalWith is Eval with per-registration run options: the controller
-// sweeps MaxBatch and Shards per point, so cells of the same grid can
+// sweeps MaxBatch per point, so cells of the same grid can
 // run under different execution modes.
 func (e *Engine) EvalWith(figure, x, algo string, s Scenario, mk CoordinatorFactory, after *PolicyJob, baseSeed int64, ro RunOptions) *EvalJob {
 	ev := &EvalJob{key: CellKey{Figure: figure, X: x, Algo: algo, Kind: "eval"}}

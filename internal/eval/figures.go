@@ -40,7 +40,7 @@ type Options struct {
 	// grid.eta_seconds gauges. The done/failed/skipped gauges partition
 	// the total once the grid drains, even under fail-fast abort.
 	Registry *telemetry.Registry
-	// Run attaches execution options (flow tracer, MaxBatch, Shards) to
+	// Run attaches execution options (flow tracer, MaxBatch) to
 	// every evaluation cell registered via Eval. Figures leave it zero,
 	// pinning published results to the plain sequential path; the
 	// controller sets it per sweep point via EvalWith.

@@ -16,12 +16,9 @@ import (
 )
 
 // These golden hashes pin the sequential simulation engine byte-for-byte
-// across refactors: the Shards <= 1 path must produce exactly the
-// pre-sharding engine's metrics on the fig6b scenario family and on
-// fault-injection scenarios. The constants were generated on the
-// pre-shard engine (PR 6 state); if one of these tests fails, the
-// sequential event loop changed behavior — that is a regression, not a
-// baseline to re-pin.
+// across refactors on the fig6b scenario family and on fault-injection
+// scenarios. If one of these tests fails, the event loop changed
+// behavior — that is a regression, not a baseline to re-pin.
 const (
 	goldenFig6bHash  = "b3bbf1a64eee2ed8af4e872512fccc53"
 	goldenFaultsHash = "51a695a0969f62640dc88e4622f06f6a"

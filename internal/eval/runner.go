@@ -86,7 +86,7 @@ func runCell(s Scenario, mk CoordinatorFactory, seed int64) (cellResult, error) 
 }
 
 // runCellWith is runCell with run options attached — the controller
-// evaluates sweep cells under batched or sharded execution and with a
+// evaluates sweep cells under batched execution and with a
 // per-run flow tracer.
 func runCellWith(s Scenario, mk CoordinatorFactory, seed int64, ro RunOptions) (cellResult, error) {
 	inst, err := s.Instantiate(seed)

@@ -55,12 +55,6 @@ type Scenario struct {
 	IngressNodes []graph.NodeID
 	// Egress is the single egress node; the paper uses v8 (node ID 7).
 	Egress graph.NodeID
-	// IngressEgresses, when non-empty, assigns each ingress its own
-	// egress (parallel to the effective ingress list); unlisted or
-	// out-of-range positions fall back to Egress. Localized
-	// ingress/egress pairs make a workload partition-closed, the shape
-	// sharded runs scale best on.
-	IngressEgresses []graph.NodeID
 	// Traffic is the arrival pattern at every ingress.
 	Traffic traffic.Spec
 	// Deadline τ_f (default 100).
@@ -194,11 +188,6 @@ func (s Scenario) Instantiate(seed int64) (*Instance, error) {
 			return nil, fmt.Errorf("eval: ingress %d out of range for %s", in, s.Topology)
 		}
 	}
-	for _, eg := range s.IngressEgresses {
-		if int(eg) < 0 || int(eg) >= g.NumNodes() {
-			return nil, fmt.Errorf("eval: per-ingress egress %d out of range for %s", eg, s.Topology)
-		}
-	}
 	if s.Graph == nil {
 		rng := rand.New(rand.NewSource(s.CapacitySeed))
 		for v := 0; v < g.NumNodes(); v++ {
@@ -239,14 +228,6 @@ type RunOptions struct {
 	// figure outputs leave it 0, so published results stay pinned to the
 	// sequential path.
 	MaxBatch int
-	// Shards, when > 1, runs the sharded multi-core event loop
-	// (cf. simnet.Config.Shards; requires a ShardableCoordinator). The
-	// grid and all figure outputs leave it 0, pinning published results
-	// to the sequential engine.
-	Shards int
-	// ShardObserver receives per-shard epoch progress of sharded runs
-	// (cf. simnet.Config.ShardObserver).
-	ShardObserver simnet.ShardObserver
 }
 
 // Run simulates the instance under the given coordinator and returns the
@@ -256,47 +237,34 @@ func (inst *Instance) Run(c simnet.Coordinator) (*simnet.Metrics, error) {
 	return inst.RunWith(c, RunOptions{})
 }
 
-// RunTraced is Run with an optional per-flow tracer attached to the
-// simulation (see simnet.FlowTracer); tr may be nil.
-func (inst *Instance) RunTraced(c simnet.Coordinator, tr simnet.FlowTracer) (*simnet.Metrics, error) {
-	return inst.RunWith(c, RunOptions{Tracer: tr})
-}
-
 // RunWith is Run with observers attached. The instance's fault schedule
 // (if any) is always applied.
 func (inst *Instance) RunWith(c simnet.Coordinator, opts RunOptions) (*simnet.Metrics, error) {
 	rng := rand.New(rand.NewSource(inst.seed + 0x5EED))
 	ingresses := make([]simnet.Ingress, 0, len(inst.Scenario.Ingresses()))
-	for i, v := range inst.Scenario.Ingresses() {
-		in := simnet.Ingress{
+	for _, v := range inst.Scenario.Ingresses() {
+		ingresses = append(ingresses, simnet.Ingress{
 			Node:     v,
 			Arrivals: inst.Scenario.Traffic.New(rand.New(rand.NewSource(rng.Int63()))),
-		}
-		if eg := inst.Scenario.IngressEgresses; i < len(eg) {
-			e := eg[i]
-			in.Egress = &e
-		}
-		ingresses = append(ingresses, in)
+		})
 	}
 	var faults []simnet.Fault
 	if inst.Chaos != nil {
 		faults = inst.Chaos.Faults
 	}
 	sim, err := simnet.New(simnet.Config{
-		Graph:         inst.Graph,
-		APSP:          inst.APSP,
-		Service:       inst.Service,
-		Ingresses:     ingresses,
-		Egress:        inst.Scenario.Egress,
-		Template:      inst.Template,
-		Horizon:       inst.Scenario.Horizon,
-		Coordinator:   c,
-		Listener:      opts.Listener,
-		Faults:        faults,
-		Tracer:        opts.Tracer,
-		MaxBatch:      opts.MaxBatch,
-		Shards:        opts.Shards,
-		ShardObserver: opts.ShardObserver,
+		Graph:       inst.Graph,
+		APSP:        inst.APSP,
+		Service:     inst.Service,
+		Ingresses:   ingresses,
+		Egress:      inst.Scenario.Egress,
+		Template:    inst.Template,
+		Horizon:     inst.Scenario.Horizon,
+		Coordinator: c,
+		Listener:    opts.Listener,
+		Faults:      faults,
+		Tracer:      opts.Tracer,
+		MaxBatch:    opts.MaxBatch,
 	})
 	if err != nil {
 		return nil, err

@@ -101,7 +101,7 @@ func (b *decisionBatcher) add(f *Flow, v graph.NodeID) {
 // (DecideBatch must not mutate simulation state). Actions then apply in
 // window order, against live state — exactly the apply semantics of the
 // sequential path.
-func (b *decisionBatcher) resolve(x *exec, now float64) {
+func (b *decisionBatcher) resolve(s *Sim, now float64) {
 	if len(b.pend) == 0 {
 		return
 	}
@@ -118,7 +118,7 @@ func (b *decisionBatcher) resolve(x *exec, now float64) {
 				ref = p.next
 			}
 			acts := b.actions[:len(b.flows)]
-			b.dec.DecideBatch(x.st, b.flows, v, now, acts)
+			b.dec.DecideBatch(s.st, b.flows, v, now, acts)
 			for i, pi := range b.idx {
 				b.pend[pi].action = acts[i]
 			}
@@ -132,7 +132,7 @@ func (b *decisionBatcher) resolve(x *exec, now float64) {
 	}
 	b.nodes = b.nodes[:0]
 	for i := range b.pend {
-		x.applyDecision(b.pend[i].f, b.pend[i].v, now, b.pend[i].action)
+		s.applyDecision(b.pend[i].f, b.pend[i].v, now, b.pend[i].action)
 		b.pend[i].f = nil // release for the GC between windows
 	}
 	b.pend = b.pend[:0]
@@ -145,23 +145,12 @@ func joinable(k eventKind) bool {
 	return k == evGenArrival || k == evHeadArrive || k == evProcDone
 }
 
-// BatchStats returns the batching diagnostics of the run so far, summed
-// across shards for multi-shard runs (MaxSize is the max over shards).
-// It is all zeros when batching is disabled (Config.MaxBatch ≤ 1 or a
+// BatchStats returns the batching diagnostics of the run so far. It is
+// all zeros when batching is disabled (Config.MaxBatch ≤ 1 or a
 // coordinator without the BatchDecider capability).
 func (s *Sim) BatchStats() BatchStats {
-	var out BatchStats
-	for _, x := range s.execs {
-		if x.batcher == nil {
-			continue
-		}
-		st := x.batcher.stats
-		out.Windows += st.Windows
-		out.Calls += st.Calls
-		out.Flows += st.Flows
-		if st.MaxSize > out.MaxSize {
-			out.MaxSize = st.MaxSize
-		}
+	if s.batcher == nil {
+		return BatchStats{}
 	}
-	return out
+	return s.batcher.stats
 }

@@ -179,7 +179,7 @@ func TestBatchFallsBackWithoutCapability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if s.execs[0].batcher != nil {
+	if s.batcher != nil {
 		t.Fatal("batcher engaged for a coordinator without BatchDecider")
 	}
 	if _, err := s.Run(); err != nil {
@@ -223,10 +223,10 @@ func TestBatchedWithFaultsMatchesSequential(t *testing.T) {
 }
 
 // TestBatchWindowAccountingWithFaultAtWindowTimestamp is the window
-// accounting regression of the sharding PR: faults landing exactly on a
-// gather-window timestamp (burst cohorts arrive at t = 25, 50, 75, ...)
-// must neither skew BatchStats invariants nor make the batched path
-// diverge from the sequential one. A node-down at an ingress's own
+// accounting regression: faults landing exactly on a gather-window
+// timestamp (burst cohorts arrive at t = 25, 50, 75, ...) must neither
+// skew BatchStats invariants nor make the batched path diverge from the
+// sequential one. A node-down at an ingress's own
 // burst instant makes the same-time cohort precheck-drop without any
 // decision (an empty window at that node), and a surge arrival at a
 // window timestamp injects a sequentially decided flow between windows.

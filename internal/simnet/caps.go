@@ -21,8 +21,6 @@ type Caps struct {
 	Topology TopologyObserver
 	// Batch resolves same-(node, time) decision cohorts in one call.
 	Batch BatchDecider
-	// Shard provides per-shard coordinator instances for multi-shard runs.
-	Shard ShardableCoordinator
 	// Timing reports the wall-time decomposition of remote decision
 	// round trips for trace attribution.
 	Timing DecisionTimer
@@ -59,9 +57,8 @@ type CapsProvider interface {
 
 // Capabilities resolves the optional capabilities of c. This is the
 // single capability-resolution seam of the engine: simulation
-// construction (New/newExec), shard setup (initShards), and CLI
-// validation (clicfg) all route through it, so a new capability is wired
-// in exactly one place.
+// construction (New) routes through it, so a new capability is wired in
+// exactly one place.
 func Capabilities(c Coordinator) Caps {
 	if p, ok := c.(CapsProvider); ok {
 		return p.Capabilities()
@@ -81,9 +78,6 @@ func Capabilities(c Coordinator) Caps {
 	}
 	if bd, ok := c.(BatchDecider); ok {
 		caps.Batch = bd
-	}
-	if sc, ok := c.(ShardableCoordinator); ok {
-		caps.Shard = sc
 	}
 	if dt, ok := c.(DecisionTimer); ok {
 		caps.Timing = dt

@@ -78,7 +78,6 @@ func (capsProbe) Tick(*State, float64)                                      {}
 func (capsProbe) Reset(*State)                                              {}
 func (capsProbe) OnTopologyChange(*State, float64)                          {}
 func (capsProbe) DecideBatch(*State, []*Flow, graph.NodeID, float64, []int) {}
-func (c capsProbe) ForShard(shard, shards int) Coordinator                  { return c }
 func (capsProbe) LastDecideTiming() (DecideTiming, bool)                    { return DecideTiming{}, false }
 
 type capsNone struct{}
@@ -97,7 +96,7 @@ func (c capsDeclared) Capabilities() Caps { return c.caps }
 
 func TestCapabilitiesResolution(t *testing.T) {
 	all := Capabilities(capsProbe{})
-	if all.Flow == nil || all.Ticker == nil || all.Resetter == nil || all.Topology == nil || all.Batch == nil || all.Shard == nil || all.Timing == nil {
+	if all.Flow == nil || all.Ticker == nil || all.Resetter == nil || all.Topology == nil || all.Batch == nil || all.Timing == nil {
 		t.Fatalf("full-capability coordinator resolved to %+v", all)
 	}
 	none := Capabilities(capsNone{})

@@ -101,89 +101,54 @@ func validateFaults(g *graph.Graph, faults []Fault) error {
 // performs the flow-level consequences (dropping flows that the fault
 // kills). Recoveries and no-op repeats (downing a dead node) are applied
 // idempotently.
-//
-// In sharded runs every exec applies every fault, so liveness, capacity
-// scaling, and routing views stay consistent across shards — but the
-// side effects that must happen exactly once per fault (the Faults
-// counter, surge-flow injection) run only on the fault's owning shard.
-// Flow drops self-own: a flow's pending events live in exactly one
-// shard's queue or outbox, so the scan-and-drop helpers fire exactly
-// once per victim regardless of which shards run them.
-func (x *exec) applyFault(ft Fault, now float64) {
-	owner := x.ownsFault(ft)
+func (s *Sim) applyFault(ft Fault, now float64) {
 	switch ft.Kind {
 	case FaultNodeDown:
-		if !x.st.NodeAlive(ft.Node) {
+		if !s.st.NodeAlive(ft.Node) {
 			return
 		}
-		x.st.setNodeAlive(ft.Node, false)
-		x.st.clearInstances(ft.Node)
-		x.dropResidentAt(ft.Node, now)
-		if owner {
-			x.metrics.Faults++
-		}
-		x.notifyTopology(now)
+		s.st.setNodeAlive(ft.Node, false)
+		s.st.clearInstances(ft.Node)
+		s.dropResidentAt(ft.Node, now)
+		s.metrics.Faults++
+		s.notifyTopology(now)
 	case FaultNodeUp:
-		if x.st.NodeAlive(ft.Node) {
+		if s.st.NodeAlive(ft.Node) {
 			return
 		}
-		x.st.setNodeAlive(ft.Node, true)
-		x.notifyTopology(now)
+		s.st.setNodeAlive(ft.Node, true)
+		s.notifyTopology(now)
 	case FaultLinkDown:
-		if !x.st.LinkAlive(ft.Link) {
+		if !s.st.LinkAlive(ft.Link) {
 			return
 		}
-		x.st.setLinkAlive(ft.Link, false)
-		x.dropInFlight(ft.Link, now)
-		if owner {
-			x.metrics.Faults++
-		}
-		x.notifyTopology(now)
+		s.st.setLinkAlive(ft.Link, false)
+		s.dropInFlight(ft.Link, now)
+		s.metrics.Faults++
+		s.notifyTopology(now)
 	case FaultLinkUp:
-		x.st.scaleLink(ft.Link, 1)
-		if x.st.LinkAlive(ft.Link) {
+		s.st.scaleLink(ft.Link, 1)
+		if s.st.LinkAlive(ft.Link) {
 			return
 		}
-		x.st.setLinkAlive(ft.Link, true)
-		x.notifyTopology(now)
+		s.st.setLinkAlive(ft.Link, true)
+		s.notifyTopology(now)
 	case FaultLinkDegrade:
-		x.st.scaleLink(ft.Link, ft.Factor)
-		if owner {
-			x.metrics.Faults++
-		}
+		s.st.scaleLink(ft.Link, ft.Factor)
+		s.metrics.Faults++
 	case FaultInstanceKill:
-		x.killInstances(ft.Node, ft.Component, now)
-		if owner {
-			x.metrics.Faults++
-		}
+		s.killInstances(ft.Node, ft.Component, now)
+		s.metrics.Faults++
 	case FaultExtraArrival:
-		if owner {
-			x.injectFlow(ft.Node, now)
-		}
-	}
-}
-
-// ownsFault reports whether this exec owns ft's exactly-once side
-// effects: the shard of the faulted node, or of a faulted link's A
-// endpoint. Single-shard execs own everything.
-func (x *exec) ownsFault(ft Fault) bool {
-	so := x.sim.shardOf
-	if so == nil {
-		return true
-	}
-	switch ft.Kind {
-	case FaultLinkDown, FaultLinkUp, FaultLinkDegrade:
-		return so[x.sim.cfg.Graph.Link(ft.Link).A] == int32(x.id)
-	default:
-		return so[ft.Node] == int32(x.id)
+		s.injectFlow(ft.Node, now)
 	}
 }
 
 // notifyTopology tells a topology-observing coordinator that liveness
 // changed; the state's routing view is already recomputed at this point.
-func (x *exec) notifyTopology(now float64) {
-	if x.topoObs != nil {
-		x.topoObs.OnTopologyChange(x.st, now)
+func (s *Sim) notifyTopology(now float64) {
+	if s.caps.Topology != nil {
+		s.caps.Topology.OnTopologyChange(s.st, now)
 	}
 }
 
@@ -192,8 +157,8 @@ func (x *exec) notifyTopology(now float64) {
 // kept there. Flows still in transit toward the node are NOT dropped
 // here — they fail on arrival if the node is still down, and survive if
 // it recovered first.
-func (x *exec) dropResidentAt(v graph.NodeID, now float64) {
-	for _, f := range x.collectVictims(func(e *event) bool {
+func (s *Sim) dropResidentAt(v graph.NodeID, now float64) {
+	for _, f := range s.collectVictims(func(e *event) bool {
 		switch e.kind {
 		case evProcDone:
 			return e.node == v
@@ -202,43 +167,42 @@ func (x *exec) dropResidentAt(v graph.NodeID, now float64) {
 		}
 		return false
 	}) {
-		x.drop(f, v, DropNodeFailure, now)
+		s.drop(f, v, DropNodeFailure, now)
 	}
 }
 
 // dropInFlight drops every flow whose head is currently propagating over
 // the failed link. Each such flow has exactly one pending evHeadArrive
 // tagged with the link, so it is accounted for as exactly one drop.
-func (x *exec) dropInFlight(l int, now float64) {
-	link := x.sim.cfg.Graph.Link(l)
-	for _, f := range x.collectVictims(func(e *event) bool {
+func (s *Sim) dropInFlight(l int, now float64) {
+	link := s.cfg.Graph.Link(l)
+	for _, f := range s.collectVictims(func(e *event) bool {
 		return e.kind == evHeadArrive && e.link == l
 	}) {
-		x.drop(f, link.A, DropLinkFailure, now)
+		s.drop(f, link.A, DropLinkFailure, now)
 	}
 }
 
 // killInstances removes component instances at v (comp "" means all) and
 // drops the flows currently being processed on them.
-func (x *exec) killInstances(v graph.NodeID, comp string, now float64) {
-	for _, f := range x.collectVictims(func(e *event) bool {
+func (s *Sim) killInstances(v graph.NodeID, comp string, now float64) {
+	for _, f := range s.collectVictims(func(e *event) bool {
 		if e.kind != evProcDone || e.node != v {
 			return false
 		}
 		cur := e.flow.Current()
 		return comp == "" || (cur != nil && cur.Name == comp)
 	}) {
-		x.drop(f, v, DropInstanceKill, now)
+		s.drop(f, v, DropInstanceKill, now)
 	}
-	x.st.removeInstances(v, comp)
+	s.st.removeInstances(v, comp)
 }
 
 // collectVictims returns the distinct, still-live flows of pending
-// events matching the predicate, scanning both the event queue and (in
-// sharded runs) the not-yet-delivered outbox handoffs. Collection is
+// events matching the predicate, scanning the event queue. Collection is
 // separated from dropping because drop notifies listeners, which must
 // not observe a half-scanned queue.
-func (x *exec) collectVictims(match func(*event) bool) []*Flow {
+func (s *Sim) collectVictims(match func(*event) bool) []*Flow {
 	var victims []*Flow
 	seen := map[int]bool{}
 	collect := func(e *event) {
@@ -250,32 +214,27 @@ func (x *exec) collectVictims(match func(*event) bool) []*Flow {
 			seen[e.flow.ID] = true
 		}
 	}
-	for i := range x.queue.items {
-		collect(&x.queue.items[i])
-	}
-	for _, box := range x.outbox {
-		for i := range box {
-			collect(&box[i])
-		}
+	for i := range s.queue.items {
+		collect(&s.queue.items[i])
 	}
 	return victims
 }
 
 // injectFlow generates one surge flow at node v (the fault-schedule
 // analogue of generateFlow, without scheduling a follow-up arrival).
-func (x *exec) injectFlow(v graph.NodeID, now float64) {
+func (s *Sim) injectFlow(v graph.NodeID, now float64) {
 	fl := &Flow{
-		ID:       x.nextID,
-		Service:  x.pickService(),
+		ID:       s.nextID,
+		Service:  s.pickService(),
 		Ingress:  v,
-		Egress:   x.sim.cfg.Egress,
-		Rate:     x.sim.cfg.Template.Rate,
-		Duration: x.sim.cfg.Template.Duration,
-		Deadline: x.sim.cfg.Template.Deadline,
+		Egress:   s.cfg.Egress,
+		Rate:     s.cfg.Template.Rate,
+		Duration: s.cfg.Template.Duration,
+		Deadline: s.cfg.Template.Deadline,
 		Arrival:  now,
 	}
-	x.nextID += x.idStride
-	x.metrics.Arrived++
-	x.trace(TraceArrival, fl, v, now, -1, -1, DropNone)
-	x.handleFlowAt(fl, v, now)
+	s.nextID++
+	s.metrics.Arrived++
+	s.trace(TraceArrival, fl, v, now, -1, -1, DropNone)
+	s.handleFlowAt(fl, v, now)
 }

@@ -19,11 +19,6 @@ type ArrivalProcess interface {
 type Ingress struct {
 	Node     graph.NodeID
 	Arrivals ArrivalProcess
-	// Egress, when non-nil, overrides Config.Egress for the flows
-	// generated at this ingress. Per-ingress egresses let workloads form
-	// localized ingress/egress pairs — the partition-closed traffic shape
-	// sharded runs scale best on.
-	Egress *graph.NodeID
 }
 
 // FlowTemplate fixes the per-flow parameters of generated flows (the base
@@ -99,23 +94,6 @@ type Config struct {
 	// plain sequential path; coordinators without the capability fall
 	// back to it silently.
 	MaxBatch int
-
-	// Shards splits the event loop into this many concurrently simulated
-	// node regions synchronized by conservative lookahead epochs (see
-	// shard.go for the model and its consistency guarantees). 0 and 1 run
-	// the single-threaded engine, byte-identically to a build without
-	// sharding. Multi-shard runs require a ShardableCoordinator and
-	// strictly positive delays on every shard-crossing link; they are
-	// deterministic for a fixed (Config, Shards) pair.
-	Shards int
-	// Partition maps every node to a shard in [0, Shards); nil derives a
-	// locality-preserving partition via graph.PartitionRegions. Ignored
-	// when Shards <= 1.
-	Partition []int
-	// ShardObserver, when non-nil, receives per-shard progress (epoch,
-	// heap depth, handoff count) at every epoch barrier of a multi-shard
-	// run. Ignored when Shards <= 1.
-	ShardObserver ShardObserver
 }
 
 // validate fills defaults and rejects malformed configurations.
@@ -159,9 +137,6 @@ func (c *Config) validate() error {
 		if in.Arrivals == nil {
 			return fmt.Errorf("simnet: ingress %d has no arrival process", in.Node)
 		}
-		if in.Egress != nil && (int(*in.Egress) < 0 || int(*in.Egress) >= n) {
-			return fmt.Errorf("simnet: ingress %d egress %d out of range", in.Node, *in.Egress)
-		}
 	}
 	if int(c.Egress) < 0 || int(c.Egress) >= n {
 		return fmt.Errorf("simnet: egress node %d out of range", c.Egress)
@@ -178,90 +153,38 @@ func (c *Config) validate() error {
 	if c.MaxBatch < 0 {
 		return errors.New("simnet: MaxBatch must be non-negative")
 	}
-	if c.Shards < 0 {
-		return errors.New("simnet: Shards must be non-negative")
-	}
-	if c.Shards > 1 {
-		if c.Shards > n {
-			return fmt.Errorf("simnet: Shards=%d exceeds the %d-node topology", c.Shards, n)
-		}
-		if c.Partition != nil {
-			if len(c.Partition) != n {
-				return fmt.Errorf("simnet: Partition has %d entries for %d nodes", len(c.Partition), n)
-			}
-			for v, p := range c.Partition {
-				if p < 0 || p >= c.Shards {
-					return fmt.Errorf("simnet: Partition[%d]=%d outside [0,%d)", v, p, c.Shards)
-				}
-			}
-		}
-	}
 	if c.MaxTime <= 0 {
 		c.MaxTime = c.Horizon + 10*c.Template.Deadline
 	}
 	return validateFaults(c.Graph, c.Faults)
 }
 
-// Sim runs one simulation. Create with New, drive with Run.
+// Sim runs one simulation. Create with New, drive with Run. It owns the
+// event heap, the network state, the metrics, and the service RNG.
 type Sim struct {
 	cfg Config
-
-	// execs holds one event-loop execution context per shard;
-	// single-shard runs have exactly one.
-	execs []*exec
-
-	// Sharded-run metadata, populated by initShards (see shard.go); all
-	// nil/zero in single-shard runs.
-	shardOf   []int32        // node → owning shard
-	lookahead float64        // epoch window: min delay over shard-crossing links
-	boundary  []boundaryNode // nodes visible across shards, synced at epoch barriers
-	traceBufs []*traceBuffer // per-shard trace buffers, merged after the run
-}
-
-// exec is one event-loop execution context: the entire simulation in
-// single-shard mode, or one node region of a sharded run. Everything an
-// exec touches while processing events is exec-local — its own event
-// heap, state copy, metrics, RNG streams, and batcher — so shards run
-// without locks; cross-shard interaction happens only through the
-// outbox/boundary synchronization at epoch barriers (shard.go).
-type exec struct {
-	sim *Sim
-	id  int
 
 	st      *State
 	queue   eventQueue
 	metrics *Metrics
-	tracer  FlowTracer
 
-	// Coordinator capabilities, discovered once at construction by type
-	// assertion (for sharded runs: on this shard's coordinator).
-	coordinator Coordinator
-	ticker      Ticker
-	resetter    Resetter
-	topoObs     TopologyObserver
-	listeners   []Listener // Config.Listener plus the coordinator's FlowObserver capability, deduplicated
+	// caps holds the coordinator's optional capabilities, resolved once
+	// by New.
+	caps      Caps
+	listeners []Listener // Config.Listener plus the coordinator's FlowObserver capability, deduplicated
 	// batcher is non-nil when Config.MaxBatch > 1 and the coordinator has
 	// the BatchDecider capability.
 	batcher *decisionBatcher
-	// timing is the coordinator's DecisionTimer capability; consulted only
-	// while a tracer is installed (see traceDecision).
-	timing DecisionTimer
 
 	nextID   int
-	idStride int // flow IDs are striped across shards: shard i issues i, i+S, i+2S, ...
 	svcRng   *rand.Rand
 	svcTotal float64
-
-	// Sharded-mode fields; nil/zero in single-shard runs.
-	outbox   [][]event // per destination shard: boundary-crossing head arrivals, in send order
-	handoffs int       // cumulative cross-shard handoffs sent
-	err      error     // epoch execution error, collected at the barrier
 }
 
 // New prepares a simulation run. The configured graph's capacities must
 // already be assigned (Config.Graph is not modified). Optional coordinator
 // capabilities (FlowObserver, Ticker, Resetter, TopologyObserver) are
-// discovered here, once, by type assertion.
+// discovered here, once, through the Capabilities seam.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -269,281 +192,207 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.APSP == nil {
 		cfg.APSP = graph.NewAPSP(cfg.Graph)
 	}
-	s := &Sim{cfg: cfg}
-	if cfg.Shards > 1 {
-		if err := s.initShards(); err != nil {
-			return nil, err
-		}
-		return s, nil
+	s := &Sim{
+		cfg:     cfg,
+		st:      NewState(cfg.Graph, cfg.APSP),
+		metrics: newMetrics(),
+		svcRng:  rand.New(rand.NewSource(cfg.ServiceSeed)),
 	}
-	x, err := s.newExec(0, cfg.Coordinator, cfg.Tracer, cfg.Listener)
-	if err != nil {
-		return nil, err
+	for _, ws := range cfg.Services {
+		s.svcTotal += ws.Weight
 	}
-	x.idStride = 1
-	x.svcRng = rand.New(rand.NewSource(cfg.ServiceSeed))
-	s.execs = []*exec{x}
-	return s, nil
-}
-
-// newExec builds one execution context around coordinator c, resolving
-// its optional capabilities through the Capabilities seam.
-func (s *Sim) newExec(id int, c Coordinator, tracer FlowTracer, listener Listener) (*exec, error) {
-	x := &exec{
-		sim:         s,
-		id:          id,
-		st:          NewState(s.cfg.Graph, s.cfg.APSP),
-		metrics:     newMetrics(),
-		tracer:      tracer,
-		coordinator: c,
+	caps := Capabilities(cfg.Coordinator)
+	if caps.Ticker != nil && caps.Ticker.Interval() <= 0 {
+		return nil, fmt.Errorf("simnet: coordinator %q has non-positive tick interval", cfg.Coordinator.Name())
 	}
-	for _, ws := range s.cfg.Services {
-		x.svcTotal += ws.Weight
+	s.caps = caps
+	if cfg.MaxBatch > 1 && caps.Batch != nil {
+		s.batcher = newDecisionBatcher(caps.Batch, cfg.MaxBatch, cfg.Graph.NumNodes())
 	}
-	caps := Capabilities(c)
-	if caps.Ticker != nil {
-		if caps.Ticker.Interval() <= 0 {
-			return nil, fmt.Errorf("simnet: coordinator %q has non-positive tick interval", c.Name())
-		}
-		x.ticker = caps.Ticker
-	}
-	x.resetter = caps.Resetter
-	x.topoObs = caps.Topology
-	x.timing = caps.Timing
-	if s.cfg.MaxBatch > 1 && caps.Batch != nil {
-		x.batcher = newDecisionBatcher(caps.Batch, s.cfg.MaxBatch, s.cfg.Graph.NumNodes())
-	}
-	if listener != nil {
-		x.listeners = append(x.listeners, listener)
+	if cfg.Listener != nil {
+		s.listeners = append(s.listeners, cfg.Listener)
 	}
 	// A learning coordinator (FlowObserver capability) is auto-attached;
 	// when the same value is also configured as Config.Listener it is
-	// already in the slice and must not be delivered events twice. The
-	// second comparison covers sharded runs, where the configured
-	// listener arrives wrapped for locking.
-	if l := caps.Flow; l != nil && Listener(l) != listener && Listener(l) != s.cfg.Listener {
-		x.listeners = append(x.listeners, l)
+	// already in the slice and must not be delivered events twice.
+	if l := caps.Flow; l != nil && Listener(l) != cfg.Listener {
+		s.listeners = append(s.listeners, l)
 	}
-	return x, nil
+	return s, nil
 }
 
 // onAction delivers a coordinator decision outcome to all listeners.
-func (x *exec) onAction(f *Flow, v graph.NodeID, now float64, action int, res ActionResult) {
-	for _, l := range x.listeners {
+func (s *Sim) onAction(f *Flow, v graph.NodeID, now float64, action int, res ActionResult) {
+	for _, l := range s.listeners {
 		l.OnAction(f, v, now, action, res)
 	}
 }
 
 // onTraversed delivers a chain-progress event to all listeners.
-func (x *exec) onTraversed(f *Flow, v graph.NodeID, now float64) {
-	for _, l := range x.listeners {
+func (s *Sim) onTraversed(f *Flow, v graph.NodeID, now float64) {
+	for _, l := range s.listeners {
 		l.OnTraversed(f, v, now)
 	}
 }
 
 // onFlowEnd delivers a flow termination to all listeners.
-func (x *exec) onFlowEnd(f *Flow, success bool, cause DropCause, now float64) {
-	for _, l := range x.listeners {
+func (s *Sim) onFlowEnd(f *Flow, success bool, cause DropCause, now float64) {
+	for _, l := range s.listeners {
 		l.OnFlowEnd(f, success, cause, now)
 	}
 }
 
 // pickService samples a service from the configured mix.
-func (x *exec) pickService() *Service {
-	if len(x.sim.cfg.Services) == 1 {
-		return x.sim.cfg.Services[0].Service
+func (s *Sim) pickService() *Service {
+	if len(s.cfg.Services) == 1 {
+		return s.cfg.Services[0].Service
 	}
-	u := x.svcRng.Float64() * x.svcTotal
+	u := s.svcRng.Float64() * s.svcTotal
 	acc := 0.0
-	for _, ws := range x.sim.cfg.Services {
+	for _, ws := range s.cfg.Services {
 		acc += ws.Weight
 		if u < acc {
 			return ws.Service
 		}
 	}
-	return x.sim.cfg.Services[len(x.sim.cfg.Services)-1].Service
+	return s.cfg.Services[len(s.cfg.Services)-1].Service
 }
 
-// State exposes the live network state (used by tests and adapters). For
-// multi-shard runs it returns shard 0's view; per-shard node ledgers are
-// authoritative only for the nodes each shard owns.
-func (s *Sim) State() *State { return s.execs[0].st }
+// State exposes the live network state (used by tests and adapters).
+func (s *Sim) State() *State { return s.st }
 
-// Metrics returns the accumulated metrics (merged across shards for
-// multi-shard runs).
-func (s *Sim) Metrics() *Metrics { return s.mergeMetrics() }
+// Metrics returns the accumulated metrics.
+func (s *Sim) Metrics() *Metrics { return s.metrics }
 
 // Run executes the simulation to completion: flows are generated over
 // [0, Horizon) and the event loop drains until every flow succeeded or
 // dropped (bounded by MaxTime).
 func (s *Sim) Run() (*Metrics, error) {
-	if len(s.execs) > 1 {
-		return s.runSharded()
-	}
 	s.start()
-	x := s.execs[0]
-	if err := x.runEpoch(math.Inf(1)); err != nil {
-		return nil, err
+	for s.queue.Len() > 0 && s.queue.peek().t <= s.cfg.MaxTime {
+		e := s.queue.pop()
+		if e.t < s.st.now-capEps {
+			return nil, fmt.Errorf("simnet: event time went backwards: %f < %f", e.t, s.st.now)
+		}
+		s.st.now = math.Max(s.st.now, e.t)
+		if s.batcher != nil && joinable(e.kind) {
+			// Gather the run of decision-bearing events at this timestamp
+			// into one window, then resolve it with batched inference. Any
+			// other event kind — or a later timestamp — ends the window.
+			s.gatherDecision(e)
+			for s.queue.Len() > 0 {
+				h := s.queue.peek()
+				if h.t != e.t || !joinable(h.kind) {
+					break
+				}
+				s.gatherDecision(s.queue.pop())
+			}
+			s.batcher.resolve(s, e.t)
+			continue
+		}
+		s.dispatch(e)
 	}
 	// Any flow still alive at MaxTime would be a leak; with the default
 	// MaxTime this cannot happen, but surface it rather than hide it.
-	if x.metrics.Pending() != 0 {
-		return x.metrics, fmt.Errorf("simnet: %d flows still pending at MaxTime", x.metrics.Pending())
+	if s.metrics.Pending() != 0 {
+		return s.metrics, fmt.Errorf("simnet: %d flows still pending at MaxTime", s.metrics.Pending())
 	}
-	return x.metrics, nil
+	return s.metrics, nil
 }
 
 // start resets per-run coordinator state and seeds the initial events:
 // the first arrival of every ingress, the coordinator ticks, and the
-// fault schedule. In sharded mode arrivals and ticks go to their owning
-// shard while every shard receives the full fault schedule (liveness
-// changes replicate everywhere; see exec.applyFault for the ownership
-// split of fault side effects).
+// fault schedule.
 func (s *Sim) start() {
-	for _, x := range s.execs {
-		if x.resetter != nil {
-			x.resetter.Reset(x.st)
-		}
+	if s.caps.Resetter != nil {
+		s.caps.Resetter.Reset(s.st)
 	}
 	for i, in := range s.cfg.Ingresses {
-		x := s.execAt(in.Node)
 		first := in.Arrivals.Next()
 		if first < s.cfg.Horizon {
-			x.queue.push(event{t: first, kind: evGenArrival, ingress: i})
+			s.queue.push(event{t: first, kind: evGenArrival, ingress: i})
 		}
 	}
-	for _, x := range s.execs {
-		if x.ticker != nil {
-			x.queue.push(event{t: 0, kind: evTick})
-		}
+	if s.caps.Ticker != nil {
+		s.queue.push(event{t: 0, kind: evTick})
 	}
 	// Schedule the fault injections. Pushing them in schedule order keeps
 	// equal-time faults deterministically ordered via event sequencing.
 	for i, ft := range s.cfg.Faults {
-		for _, x := range s.execs {
-			x.queue.push(event{t: ft.Time, kind: evFault, ingress: i, link: -1})
-		}
+		s.queue.push(event{t: ft.Time, kind: evFault, ingress: i, link: -1})
 	}
 }
 
-// execAt returns the execution context owning node v.
-func (s *Sim) execAt(v graph.NodeID) *exec {
-	if s.shardOf == nil {
-		return s.execs[0]
-	}
-	return s.execs[s.shardOf[v]]
-}
-
-// runEpoch drains x's event queue up to (but excluding) time end,
-// honoring MaxTime: the first event at t >= end stays queued for the
-// next epoch. Single-shard runs pass end = +Inf, making this exactly the
-// sequential event loop.
-func (x *exec) runEpoch(end float64) error {
-	maxTime := x.sim.cfg.MaxTime
-	for x.queue.Len() > 0 {
-		h := x.queue.peek()
-		if h.t >= end || h.t > maxTime {
-			return nil
-		}
-		e := x.queue.pop()
-		if e.t < x.st.now-capEps {
-			return fmt.Errorf("simnet: event time went backwards: %f < %f", e.t, x.st.now)
-		}
-		x.st.now = math.Max(x.st.now, e.t)
-		if x.batcher != nil && joinable(e.kind) {
-			// Gather the run of decision-bearing events at this timestamp
-			// into one window, then resolve it with batched inference. Any
-			// other event kind — or a later timestamp — ends the window.
-			x.gatherDecision(e)
-			for x.queue.Len() > 0 {
-				h := x.queue.peek()
-				if h.t != e.t || !joinable(h.kind) {
-					break
-				}
-				x.gatherDecision(x.queue.pop())
-			}
-			x.batcher.resolve(x, e.t)
-			continue
-		}
-		x.dispatch(e)
-	}
-	return nil
-}
-
-func (x *exec) dispatch(e event) {
+func (s *Sim) dispatch(e event) {
 	switch e.kind {
 	case evGenArrival:
-		x.generateFlow(e)
+		s.generateFlow(e)
 	case evHeadArrive:
-		x.handleFlowAt(e.flow, e.node, e.t)
+		s.handleFlowAt(e.flow, e.node, e.t)
 	case evProcDone:
-		x.finishProcessing(e)
+		s.finishProcessing(e)
 	case evReleaseNode:
-		x.st.releaseNode(e.node, e.amount)
+		s.st.releaseNode(e.node, e.amount)
 	case evReleaseLink:
-		x.st.releaseLink(e.link, e.amount)
+		s.st.releaseLink(e.link, e.amount)
 	case evIdleCheck:
-		x.st.removeInstanceIfIdle(e.node, e.comp, e.t)
+		s.st.removeInstanceIfIdle(e.node, e.comp, e.t)
 	case evTick:
-		x.ticker.Tick(x.st, e.t)
-		next := e.t + x.ticker.Interval()
-		if next <= x.sim.cfg.Horizon {
-			x.queue.push(event{t: next, kind: evTick})
+		s.caps.Ticker.Tick(s.st, e.t)
+		next := e.t + s.caps.Ticker.Interval()
+		if next <= s.cfg.Horizon {
+			s.queue.push(event{t: next, kind: evTick})
 		}
 	case evFault:
-		x.applyFault(x.sim.cfg.Faults[e.ingress], e.t)
+		s.applyFault(s.cfg.Faults[e.ingress], e.t)
 	}
 }
 
 // generateFlow creates the next flow at ingress e.ingress and schedules
 // the subsequent arrival.
-func (x *exec) generateFlow(e event) {
-	f := x.newFlow(e)
-	x.handleFlowAt(f, f.Ingress, e.t)
-	x.scheduleNextArrival(e)
+func (s *Sim) generateFlow(e event) {
+	f := s.newFlow(e)
+	s.handleFlowAt(f, f.Ingress, e.t)
+	s.scheduleNextArrival(e)
 }
 
 // newFlow instantiates the flow of arrival event e and records it.
-func (x *exec) newFlow(e event) *Flow {
-	in := x.sim.cfg.Ingresses[e.ingress]
-	egress := x.sim.cfg.Egress
-	if in.Egress != nil {
-		egress = *in.Egress
-	}
+func (s *Sim) newFlow(e event) *Flow {
+	in := s.cfg.Ingresses[e.ingress]
 	f := &Flow{
-		ID:       x.nextID,
-		Service:  x.pickService(),
+		ID:       s.nextID,
+		Service:  s.pickService(),
 		Ingress:  in.Node,
-		Egress:   egress,
-		Rate:     x.sim.cfg.Template.Rate,
-		Duration: x.sim.cfg.Template.Duration,
-		Deadline: x.sim.cfg.Template.Deadline,
+		Egress:   s.cfg.Egress,
+		Rate:     s.cfg.Template.Rate,
+		Duration: s.cfg.Template.Duration,
+		Deadline: s.cfg.Template.Deadline,
 		Arrival:  e.t,
 	}
-	x.nextID += x.idStride
-	x.metrics.Arrived++
-	x.trace(TraceArrival, f, in.Node, e.t, -1, -1, DropNone)
+	s.nextID++
+	s.metrics.Arrived++
+	s.trace(TraceArrival, f, in.Node, e.t, -1, -1, DropNone)
 	return f
 }
 
 // scheduleNextArrival draws the next inter-arrival gap of e's ingress
 // and schedules the following generation event.
-func (x *exec) scheduleNextArrival(e event) {
-	next := e.t + x.sim.cfg.Ingresses[e.ingress].Arrivals.Next()
-	if next < x.sim.cfg.Horizon {
-		x.queue.push(event{t: next, kind: evGenArrival, ingress: e.ingress})
+func (s *Sim) scheduleNextArrival(e event) {
+	next := e.t + s.cfg.Ingresses[e.ingress].Arrivals.Next()
+	if next < s.cfg.Horizon {
+		s.queue.push(event{t: next, kind: evGenArrival, ingress: e.ingress})
 	}
 }
 
 // handleFlowAt is the sequential decision point: flow f's head is at
 // node v at time now. It checks expiry and completion, then queries the
 // coordinator and applies the chosen action.
-func (x *exec) handleFlowAt(f *Flow, v graph.NodeID, now float64) {
-	if !x.precheck(f, v, now) {
+func (s *Sim) handleFlowAt(f *Flow, v graph.NodeID, now float64) {
+	if !s.precheck(f, v, now) {
 		return
 	}
-	action := x.coordinator.Decide(x.st, f, v, now)
-	x.applyDecision(f, v, now, action)
+	action := s.cfg.Coordinator.Decide(s.st, f, v, now)
+	s.applyDecision(f, v, now, action)
 }
 
 // gatherDecision runs the pre-decision part of a decision-bearing event
@@ -553,17 +402,17 @@ func (x *exec) handleFlowAt(f *Flow, v graph.NodeID, now float64) {
 // that a burst arrival's follow-up generation event is scheduled before
 // (not after) the decision applies, so same-time arrivals can join the
 // window.
-func (x *exec) gatherDecision(e event) {
+func (s *Sim) gatherDecision(e event) {
 	switch e.kind {
 	case evGenArrival:
-		f := x.newFlow(e)
-		x.scheduleNextArrival(e)
-		if x.precheck(f, f.Ingress, e.t) {
-			x.batcher.add(f, f.Ingress)
+		f := s.newFlow(e)
+		s.scheduleNextArrival(e)
+		if s.precheck(f, f.Ingress, e.t) {
+			s.batcher.add(f, f.Ingress)
 		}
 	case evHeadArrive:
-		if x.precheck(e.flow, e.node, e.t) {
-			x.batcher.add(e.flow, e.node)
+		if s.precheck(e.flow, e.node, e.t) {
+			s.batcher.add(e.flow, e.node)
 		}
 	case evProcDone:
 		f := e.flow
@@ -571,9 +420,9 @@ func (x *exec) gatherDecision(e event) {
 			return
 		}
 		f.CompIdx++
-		x.onTraversed(f, e.node, e.t)
-		if x.precheck(f, e.node, e.t) {
-			x.batcher.add(f, e.node)
+		s.onTraversed(f, e.node, e.t)
+		if s.precheck(f, e.node, e.t) {
+			s.batcher.add(f, e.node)
 		}
 	}
 }
@@ -582,22 +431,22 @@ func (x *exec) gatherDecision(e event) {
 // reports whether flow f still needs a decision at v. A false return
 // means the flow's fate was already settled (dropped, expired,
 // completed, or a stale event for a finished flow).
-func (x *exec) precheck(f *Flow, v graph.NodeID, now float64) bool {
+func (s *Sim) precheck(f *Flow, v graph.NodeID, now float64) bool {
 	if f.done {
 		return false
 	}
-	if !x.st.NodeAlive(v) {
+	if !s.st.NodeAlive(v) {
 		// The head reached a crashed node: flows in transit when the node
 		// went down fail on arrival (unless the node recovered first).
-		x.drop(f, v, DropNodeFailure, now)
+		s.drop(f, v, DropNodeFailure, now)
 		return false
 	}
 	if f.Remaining(now) <= capEps {
-		x.drop(f, v, DropExpired, now)
+		s.drop(f, v, DropExpired, now)
 		return false
 	}
 	if f.Processed() && v == f.Egress {
-		x.complete(f, now)
+		s.complete(f, now)
 		return false
 	}
 	return true
@@ -605,133 +454,124 @@ func (x *exec) precheck(f *Flow, v graph.NodeID, now float64) bool {
 
 // applyDecision records a coordinator decision for flow f at node v and
 // applies it against live state.
-func (x *exec) applyDecision(f *Flow, v graph.NodeID, now float64, action int) {
+func (s *Sim) applyDecision(f *Flow, v graph.NodeID, now float64, action int) {
 	f.Decisions++
-	x.metrics.Decisions++
-	x.traceDecision(f, v, now, action)
+	s.metrics.Decisions++
+	s.traceDecision(f, v, now, action)
 
 	if action == 0 {
-		x.processLocally(f, v, now)
+		s.processLocally(f, v, now)
 		return
 	}
-	x.forward(f, v, action, now)
+	s.forward(f, v, action, now)
 }
 
 // processLocally applies action 0: process the requested component at v,
 // or, for a fully processed flow, keep it for one time step.
-func (x *exec) processLocally(f *Flow, v graph.NodeID, now float64) {
+func (s *Sim) processLocally(f *Flow, v graph.NodeID, now float64) {
 	if f.Processed() {
 		// Keeping a fully processed flow wastes deadline budget and
 		// incurs the −1/D_G penalty at the listener (Sec. IV-B3).
-		x.metrics.Keeps++
-		x.trace(TraceKeep, f, v, now, 0, -1, DropNone)
-		x.onAction(f, v, now, 0, ActionResult{Kind: ActionKept})
-		x.queue.push(event{t: now + x.sim.cfg.KeepStep, kind: evHeadArrive, flow: f, node: v, link: -1})
+		s.metrics.Keeps++
+		s.trace(TraceKeep, f, v, now, 0, -1, DropNone)
+		s.onAction(f, v, now, 0, ActionResult{Kind: ActionKept})
+		s.queue.push(event{t: now + s.cfg.KeepStep, kind: evHeadArrive, flow: f, node: v, link: -1})
 		return
 	}
 
 	comp := f.Current()
 	need := comp.Resource(f.Rate)
-	if !x.st.nodeFits(v, need) {
-		x.onAction(f, v, now, 0, ActionResult{Kind: ActionDropped, Drop: DropNodeCapacity})
-		x.drop(f, v, DropNodeCapacity, now)
+	if !s.st.nodeFits(v, need) {
+		s.onAction(f, v, now, 0, ActionResult{Kind: ActionDropped, Drop: DropNodeCapacity})
+		s.drop(f, v, DropNodeCapacity, now)
 		return
 	}
 
-	inst, _ := x.st.placeInstance(v, comp, now)
+	inst, _ := s.st.placeInstance(v, comp, now)
 	procStart := math.Max(now, inst.ReadyAt)
 	procEnd := procStart + comp.ProcDelay
 	release := procEnd + f.Duration
 
-	x.st.allocNode(v, need)
-	x.queue.push(event{t: release, kind: evReleaseNode, node: v, amount: need})
+	s.st.allocNode(v, need)
+	s.queue.push(event{t: release, kind: evReleaseNode, node: v, amount: need})
 
 	if release > inst.BusyUntil {
 		inst.BusyUntil = release
 	}
-	x.queue.push(event{t: release + comp.IdleTimeout, kind: evIdleCheck, node: v, comp: comp})
-	x.queue.push(event{t: procEnd, kind: evProcDone, flow: f, node: v})
+	s.queue.push(event{t: release + comp.IdleTimeout, kind: evIdleCheck, node: v, comp: comp})
+	s.queue.push(event{t: procEnd, kind: evProcDone, flow: f, node: v})
 
-	x.metrics.Processings++
-	x.traceWait(TraceProcess, f, v, now, 0, -1, DropNone, procStart-now)
-	x.onAction(f, v, now, 0, ActionResult{Kind: ActionProcessed})
+	s.metrics.Processings++
+	s.traceWait(TraceProcess, f, v, now, 0, -1, DropNone, procStart-now)
+	s.onAction(f, v, now, 0, ActionResult{Kind: ActionProcessed})
 }
 
 // finishProcessing advances the flow to its next chain component and
 // re-enters the decision loop at the same node.
-func (x *exec) finishProcessing(e event) {
+func (s *Sim) finishProcessing(e event) {
 	f := e.flow
 	if f.done {
 		return
 	}
 	f.CompIdx++
-	x.onTraversed(f, e.node, e.t)
-	x.handleFlowAt(f, e.node, e.t)
+	s.onTraversed(f, e.node, e.t)
+	s.handleFlowAt(f, e.node, e.t)
 }
 
-// forward applies action a > 0: send the flow to v's a-th neighbor. When
-// the neighbor belongs to another shard, the head arrival goes into that
-// shard's mailbox instead of the local queue; conservative lookahead
-// guarantees it arrives no earlier than the next epoch boundary.
-func (x *exec) forward(f *Flow, v graph.NodeID, a int, now float64) {
-	neighbors := x.sim.cfg.Graph.Neighbors(v)
+// forward applies action a > 0: send the flow to v's a-th neighbor.
+func (s *Sim) forward(f *Flow, v graph.NodeID, a int, now float64) {
+	neighbors := s.cfg.Graph.Neighbors(v)
 	if a < 0 || a > len(neighbors) {
-		x.onAction(f, v, now, a, ActionResult{Kind: ActionDropped, Drop: DropInvalidAction})
-		x.drop(f, v, DropInvalidAction, now)
+		s.onAction(f, v, now, a, ActionResult{Kind: ActionDropped, Drop: DropInvalidAction})
+		s.drop(f, v, DropInvalidAction, now)
 		return
 	}
 	ad := neighbors[a-1]
-	link := x.sim.cfg.Graph.Link(ad.Link)
-	if !x.st.LinkAlive(ad.Link) {
-		x.onAction(f, v, now, a, ActionResult{Kind: ActionDropped, Drop: DropLinkFailure})
-		x.drop(f, v, DropLinkFailure, now)
+	link := s.cfg.Graph.Link(ad.Link)
+	if !s.st.LinkAlive(ad.Link) {
+		s.onAction(f, v, now, a, ActionResult{Kind: ActionDropped, Drop: DropLinkFailure})
+		s.drop(f, v, DropLinkFailure, now)
 		return
 	}
-	if !x.st.linkFits(ad.Link, f.Rate) {
-		x.onAction(f, v, now, a, ActionResult{Kind: ActionDropped, Drop: DropLinkCapacity})
-		x.drop(f, v, DropLinkCapacity, now)
+	if !s.st.linkFits(ad.Link, f.Rate) {
+		s.onAction(f, v, now, a, ActionResult{Kind: ActionDropped, Drop: DropLinkCapacity})
+		s.drop(f, v, DropLinkCapacity, now)
 		return
 	}
 
-	x.st.allocLink(ad.Link, f.Rate)
+	s.st.allocLink(ad.Link, f.Rate)
 	// The stream consumes the link's data rate while it is being
 	// injected (its duration δ_f); propagation d_l only delays the head
 	// and does not occupy capacity. The head-arrival event is tagged with
 	// the transit link so a link failure can drop it mid-flight.
-	x.queue.push(event{t: now + f.Duration, kind: evReleaseLink, link: ad.Link, amount: f.Rate})
-	arrive := event{t: now + link.Delay, kind: evHeadArrive, flow: f, node: ad.Neighbor, link: ad.Link}
-	if so := x.sim.shardOf; so != nil && so[ad.Neighbor] != int32(x.id) {
-		x.outbox[so[ad.Neighbor]] = append(x.outbox[so[ad.Neighbor]], arrive)
-		x.handoffs++
-	} else {
-		x.queue.push(arrive)
-	}
+	s.queue.push(event{t: now + f.Duration, kind: evReleaseLink, link: ad.Link, amount: f.Rate})
+	s.queue.push(event{t: now + link.Delay, kind: evHeadArrive, flow: f, node: ad.Neighbor, link: ad.Link})
 
 	f.Hops++
-	x.metrics.Forwards++
-	x.trace(TraceForward, f, v, now, a, ad.Link, DropNone)
-	x.onAction(f, v, now, a, ActionResult{Kind: ActionForwarded, Link: ad.Link})
+	s.metrics.Forwards++
+	s.trace(TraceForward, f, v, now, a, ad.Link, DropNone)
+	s.onAction(f, v, now, a, ActionResult{Kind: ActionForwarded, Link: ad.Link})
 }
 
 // complete records a successful flow.
-func (x *exec) complete(f *Flow, now float64) {
+func (s *Sim) complete(f *Flow, now float64) {
 	f.done = true
-	x.metrics.Succeeded++
+	s.metrics.Succeeded++
 	d := now - f.Arrival
-	x.metrics.SumDelay += d
-	x.metrics.Delays = append(x.metrics.Delays, d)
-	if d > x.metrics.MaxDelay {
-		x.metrics.MaxDelay = d
+	s.metrics.SumDelay += d
+	s.metrics.Delays = append(s.metrics.Delays, d)
+	if d > s.metrics.MaxDelay {
+		s.metrics.MaxDelay = d
 	}
-	x.trace(TraceComplete, f, f.Egress, now, -1, -1, DropNone)
-	x.onFlowEnd(f, true, DropNone, now)
+	s.trace(TraceComplete, f, f.Egress, now, -1, -1, DropNone)
+	s.onFlowEnd(f, true, DropNone, now)
 }
 
 // drop records a flow dropped at node v.
-func (x *exec) drop(f *Flow, v graph.NodeID, cause DropCause, now float64) {
+func (s *Sim) drop(f *Flow, v graph.NodeID, cause DropCause, now float64) {
 	f.done = true
-	x.metrics.Dropped++
-	x.metrics.DropsBy[cause]++
-	x.trace(TraceDrop, f, v, now, -1, -1, cause)
-	x.onFlowEnd(f, false, cause, now)
+	s.metrics.Dropped++
+	s.metrics.DropsBy[cause]++
+	s.trace(TraceDrop, f, v, now, -1, -1, cause)
+	s.onFlowEnd(f, false, cause, now)
 }

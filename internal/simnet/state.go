@@ -31,7 +31,6 @@ type State struct {
 	nodeDown  []bool
 	linkDown  []bool
 	linkScale []float64              // capacity scaling under degradation; 1 = nominal
-	topoEpoch int                    // bumped on every liveness change
 	instances []map[string]*Instance // per node, keyed by component name
 	now       float64
 }
@@ -81,10 +80,6 @@ func (st *State) LinkAlive(l int) bool {
 	return !st.nodeDown[lk.A] && !st.nodeDown[lk.B]
 }
 
-// TopoEpoch counts liveness changes; observers can use it to detect that
-// cached topology-derived data is stale. It is 0 until the first fault.
-func (st *State) TopoEpoch() int { return st.topoEpoch }
-
 // NodeCapacity returns the effective compute capacity of v: cap_v, or 0
 // while the node is down.
 func (st *State) NodeCapacity(v graph.NodeID) float64 {
@@ -125,7 +120,6 @@ func (st *State) scaleLink(l int, factor float64) { st.linkScale[l] = factor }
 // topology (one Dijkstra per node, only on liveness changes — fault
 // events are rare next to flow events).
 func (st *State) refreshRouting() {
-	st.topoEpoch++
 	st.apsp = graph.NewAPSPMasked(st.g, st.LinkAlive)
 }
 

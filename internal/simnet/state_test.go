@@ -277,3 +277,79 @@ func TestCloneCopiesDelays(t *testing.T) {
 		t.Error("Clone shares Delays slice")
 	}
 }
+
+// TestEventQueueCollidingTimestampsPopInInsertionOrder is the heap
+// tie-breaking regression: events at identical timestamps must pop in
+// insertion order, independent of heap internals — the event loop's
+// determinism relies on it. The ingress field doubles as the insertion
+// index.
+func TestEventQueueCollidingTimestampsPopInInsertionOrder(t *testing.T) {
+	var q eventQueue
+	// A deterministic pseudo-random time pattern with heavy collisions:
+	// only 5 distinct timestamps across 1000 events.
+	rng := rand.New(rand.NewSource(99))
+	times := make([]float64, 1000)
+	for i := range times {
+		times[i] = float64(rng.Intn(5))
+		q.push(event{t: times[i], ingress: i})
+	}
+	lastT, lastSeq := -1.0, -1
+	for i := 0; q.Len() > 0; i++ {
+		e := q.pop()
+		if e.t < lastT {
+			t.Fatalf("pop %d: time went backwards: %g after %g", i, e.t, lastT)
+		}
+		if e.t > lastT {
+			lastT, lastSeq = e.t, -1
+		}
+		if e.ingress <= lastSeq {
+			t.Fatalf("pop %d: insertion order violated at t=%g: index %d after %d", i, e.t, e.ingress, lastSeq)
+		}
+		if times[e.ingress] != e.t {
+			t.Fatalf("pop %d: event %d corrupted: t=%g, pushed %g", i, e.ingress, e.t, times[e.ingress])
+		}
+		lastSeq = e.ingress
+	}
+}
+
+// TestEventQueueTieBreakSurvivesInterleavedPops extends the regression
+// to interleaved push/pop (the event loop's actual access pattern):
+// same-time events pushed across different heap shapes must still pop in
+// insertion order.
+func TestEventQueueTieBreakSurvivesInterleavedPops(t *testing.T) {
+	var q eventQueue
+	next := 0
+	push := func(tm float64) {
+		q.push(event{t: tm, ingress: next})
+		next++
+	}
+	var popped []event
+	popOne := func() {
+		if q.Len() > 0 {
+			popped = append(popped, q.pop())
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		if rng.Intn(3) == 0 {
+			popOne()
+		} else {
+			// Times never decrease below the current minimum, as in a real
+			// simulation run.
+			base := 0.0
+			if q.Len() > 0 {
+				base = q.peek().t
+			}
+			push(base + float64(rng.Intn(3)))
+		}
+	}
+	for q.Len() > 0 {
+		popOne()
+	}
+	for i := 1; i < len(popped); i++ {
+		a, b := popped[i-1], popped[i]
+		if a.t == b.t && a.ingress > b.ingress {
+			t.Fatalf("pop %d: same-time events out of insertion order: %d before %d at t=%g", i, a.ingress, b.ingress, a.t)
+		}
+	}
+}

@@ -235,8 +235,8 @@ func (f TracerFunc) Trace(e TraceEvent) { f(e) }
 
 // trace emits one event when a tracer is installed. The nil check comes
 // before the TraceEvent literal, so the disabled path does no work.
-func (x *exec) trace(kind TraceKind, f *Flow, v graph.NodeID, now float64, action, link int, drop DropCause) {
-	x.traceWait(kind, f, v, now, action, link, drop, 0)
+func (s *Sim) trace(kind TraceKind, f *Flow, v graph.NodeID, now float64, action, link int, drop DropCause) {
+	s.traceWait(kind, f, v, now, action, link, drop, 0)
 }
 
 // traceDecision emits the TraceDecision event, attaching the remote
@@ -244,8 +244,8 @@ func (x *exec) trace(kind TraceKind, f *Flow, v graph.NodeID, now float64, actio
 // DecisionTimer capability). The tracer nil-check comes first: untraced
 // runs construct nothing and never consult the timer, keeping the
 // decide hot path allocation- and branch-light exactly like trace.
-func (x *exec) traceDecision(f *Flow, v graph.NodeID, now float64, action int) {
-	if x.tracer == nil {
+func (s *Sim) traceDecision(f *Flow, v graph.NodeID, now float64, action int) {
+	if s.cfg.Tracer == nil {
 		return
 	}
 	e := TraceEvent{
@@ -257,21 +257,21 @@ func (x *exec) traceDecision(f *Flow, v graph.NodeID, now float64, action int) {
 		Action:  action,
 		Link:    -1,
 	}
-	if x.timing != nil {
-		if t, ok := x.timing.LastDecideTiming(); ok {
+	if s.caps.Timing != nil {
+		if t, ok := s.caps.Timing.LastDecideTiming(); ok {
 			e.RPC = t
 		}
 	}
-	x.tracer.Trace(e)
+	s.cfg.Tracer.Trace(e)
 }
 
 // traceWait is trace with the processing-start wait of TraceProcess
 // events (see TraceEvent.Wait).
-func (x *exec) traceWait(kind TraceKind, f *Flow, v graph.NodeID, now float64, action, link int, drop DropCause, wait float64) {
-	if x.tracer == nil {
+func (s *Sim) traceWait(kind TraceKind, f *Flow, v graph.NodeID, now float64, action, link int, drop DropCause, wait float64) {
+	if s.cfg.Tracer == nil {
 		return
 	}
-	x.tracer.Trace(TraceEvent{
+	s.cfg.Tracer.Trace(TraceEvent{
 		Time:    now,
 		Kind:    kind,
 		FlowID:  f.ID,

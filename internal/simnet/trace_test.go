@@ -174,7 +174,7 @@ func TestTraceDisabledAddsZeroAllocs(t *testing.T) {
 	}
 	f := &Flow{ID: 1, Service: svc, CompIdx: svc.Len(), Egress: 2, Rate: 1, Duration: 1, Deadline: 1e9}
 
-	x := s.execs[0]
+	x := s
 	if avg := testing.AllocsPerRun(1000, func() {
 		x.trace(TraceDecision, f, 0, 1, 0, -1, DropNone)
 	}); avg != 0 {

@@ -110,7 +110,7 @@ func (o *ObsServer) Start(addr string) error {
 	o.started = time.Now()
 	o.mu.Unlock()
 	o.ln = ln
-	o.srv = &http.Server{Handler: o.mux}
+	o.srv = &http.Server{Handler: o.mux, ReadHeaderTimeout: readHeaderTimeout}
 	go o.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return nil
 }
@@ -122,6 +122,13 @@ func (o *ObsServer) Addr() string {
 	}
 	return o.ln.Addr().String()
 }
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers to the obs and pprof servers, so a connection that
+// never finishes them cannot hold a server goroutine forever. Only the
+// header read is bounded: read and write deadlines would also cut the
+// chunked /runs/{id}/events stream and /debug/pprof/profile captures.
+const readHeaderTimeout = 10 * time.Second
 
 // shutdownTimeout bounds how long Close waits for in-flight scrapes.
 // Handlers only read registry state, so responses finish in

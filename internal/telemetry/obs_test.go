@@ -188,6 +188,32 @@ func TestProfilerPprofMuxIsPrivate(t *testing.T) {
 	}
 }
 
+// TestServersBoundHeaderReads pins that both HTTP servers time out a
+// client that never finishes its request headers, and bound nothing
+// else: streamed responses (/runs/{id}/events, pprof captures) must not
+// be cut by a read or write deadline.
+func TestServersBoundHeaderReads(t *testing.T) {
+	o := NewObsServer("testbin", NewRegistry())
+	if err := o.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	p := &Profiler{PprofAddr: "127.0.0.1:0"}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	for name, srv := range map[string]*http.Server{"obs": o.srv, "pprof": p.srv} {
+		if srv.ReadHeaderTimeout <= 0 {
+			t.Errorf("%s server: ReadHeaderTimeout = %v, want > 0", name, srv.ReadHeaderTimeout)
+		}
+		if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+			t.Errorf("%s server: ReadTimeout = %v, WriteTimeout = %v; both would cut streamed responses",
+				name, srv.ReadTimeout, srv.WriteTimeout)
+		}
+	}
+}
+
 // TestObsServerCloseWaitsForInflightScrape is the regression test for
 // the hard-drop shutdown bug: Close used http.Server.Close, which tore
 // down in-flight connections mid-response, so a /metrics scrape racing

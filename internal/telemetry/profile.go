@@ -64,7 +64,7 @@ func (p *Profiler) Start() error {
 			return fmt.Errorf("telemetry: pprof listener: %w", err)
 		}
 		p.ln = ln
-		p.srv = &http.Server{Handler: pprofMux()}
+		p.srv = &http.Server{Handler: pprofMux(), ReadHeaderTimeout: readHeaderTimeout}
 		go p.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Stop
 	}
 	return nil

@@ -103,9 +103,7 @@ fi
 # --- scale series ---------------------------------------------------------
 # Summarized for the log, not regression-gated (episode throughput is
 # too machine-dependent for a cross-runner threshold) — but a missing or
-# unparseable file is an error, and so is any sharded record whose
-# determinism self-check failed or whose flow count diverges from the
-# single-shard engine on the identical workload.
+# unparseable file is an error.
 if [ "$SCALE" = "-" ]; then
 	echo "bench_check: scale gate skipped explicitly (scale '-')"
 elif [ ! -f "$SCALE" ]; then
@@ -113,34 +111,18 @@ elif [ ! -f "$SCALE" ]; then
 else
 	rows=$(awk '
 		/"record":"scale"/ {
-			n = b = k = f = sp = ""
+			n = b = f = sp = ""
 			if (match($0, /"nodes":[0-9]+/)) n = substr($0, RSTART + 8, RLENGTH - 8)
 			if (match($0, /"batch":[0-9]+/)) b = substr($0, RSTART + 8, RLENGTH - 8)
-			if (match($0, /"shards":[0-9]+/)) k = substr($0, RSTART + 9, RLENGTH - 9)
 			if (match($0, /"flows_per_sec":[0-9.eE+-]+/)) f = substr($0, RSTART + 16, RLENGTH - 16)
 			if (match($0, /"speedup":[0-9.eE+-]+/)) sp = substr($0, RSTART + 10, RLENGTH - 10)
 			if (n != "" && b != "" && f != "")
-				printf "bench_check: scale nodes=%-5s batch=%-3s shards=%-2s %10.0f flows/sec %6.2fx\n", n, b, k, f, sp
+				printf "bench_check: scale nodes=%-5s batch=%-3s %10.0f flows/sec %6.2fx\n", n, b, f, sp
 		}' "$SCALE")
 	if [ -z "$rows" ]; then
 		no_baseline "$SCALE has no parseable scale records"
 	else
 		echo "$rows"
-	fi
-	if grep -q '"deterministic":false' "$SCALE"; then
-		echo "bench_check: $SCALE contains a sharded run that failed its determinism self-check" >&2
-		fail=1
-	fi
-	# The shard sweep runs one fixed workload at every shard count: all
-	# its records (the ones carrying a determinism verdict) must agree on
-	# the arrived-flow count, or the shards dropped or duplicated flows.
-	shard_arrived=$(awk '
-		/"record":"scale"/ && /"deterministic":/ {
-			if (match($0, /"arrived":[0-9]+/)) print substr($0, RSTART + 10, RLENGTH - 10)
-		}' "$SCALE" | sort -u | wc -l)
-	if [ "$shard_arrived" -gt 1 ]; then
-		echo "bench_check: $SCALE shard sweep disagrees on arrived-flow counts across shard counts" >&2
-		fail=1
 	fi
 fi
 

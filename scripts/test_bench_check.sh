@@ -26,8 +26,8 @@ cat >"$tmp/fresh_bad.json" <<'EOF'
 {"record":"bench","bench":"decide","variant":"argmax","ns_per_op":100}
 EOF
 cat >"$tmp/scale.json" <<'EOF'
-{"record":"scale","nodes":100,"batch":8,"shards":1,"flows_per_sec":1000,"speedup":1.00,"deterministic":true,"arrived":500}
-{"record":"scale","nodes":100,"batch":8,"shards":2,"flows_per_sec":1500,"speedup":1.50,"deterministic":true,"arrived":500}
+{"record":"scale","nodes":100,"batch":0,"flows_per_sec":1000,"speedup":1.00,"arrived":500}
+{"record":"scale","nodes":100,"batch":8,"flows_per_sec":1500,"speedup":1.50,"arrived":500}
 EOF
 cat >"$tmp/rpc.json" <<'EOF'
 {"record":"rpc","mode":"inproc","rtt_p50_us":60.0,"equal_metrics":true}
