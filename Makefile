@@ -88,13 +88,16 @@ perfbench-test:
 fmt:
 	gofmt -l -w .
 
-# lint fails on unformatted files (without rewriting them) and runs vet.
+# lint fails on unformatted files (without rewriting them) and runs vet,
+# natively and for arm64 so the non-amd64 fallback (batch_noasm.go, the
+# generic kernels) keeps compiling.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 vet:
 	$(GO) vet ./...

@@ -372,6 +372,7 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 				m.Backward(tape, []float64{tape.Output()[0] - s[2]})
 			}
 			step(m.Params(), m.Grads())
+			m.Refresh()
 		}
 		loss := 0.0
 		for _, s := range samples {

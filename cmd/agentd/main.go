@@ -3,9 +3,9 @@
 // TCP protocol. A driver (coordsim -agents, bench -rpc, or any
 // coord.Remote client) connects, assigns the daemon a set of nodes in
 // the handshake, and streams observation rows; the daemon answers with
-// sampled actions from per-node actor clones — exactly the computation
-// the in-process Distributed coordinator performs, moved behind a
-// socket.
+// actions sampled from its copy of the actor with per-node streams —
+// exactly the computation the in-process Distributed coordinator
+// performs, moved behind a socket.
 //
 // Usage:
 //

@@ -1,7 +1,9 @@
 package clicfg
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,6 +58,15 @@ func PatternSpec(pattern string) (traffic.Spec, error) {
 		return traffic.SyntheticTraceSpec(10, 2, 4), nil
 	}
 	return traffic.Spec{}, fmt.Errorf("clicfg: unknown pattern %q (want fixed, poisson, mmpp, trace)", pattern)
+}
+
+// DecodeSpec strictly decodes one JSON RunSpec or SweepSpec from r into
+// v: unknown fields are rejected, so a typo'd axis name cannot silently
+// no-op. The controller decodes every submission with it.
+func DecodeSpec(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // TrainSpec overrides the DRL training budget of a RunSpec; zero fields

@@ -6,19 +6,16 @@ import (
 	"testing"
 )
 
-func TestRunSpecValidate(t *testing.T) {
-	ok := []RunSpec{
+// validRunSpecs and invalidRunSpecs are the Validate cases; FuzzRunSpec
+// seeds its corpus with them too.
+var (
+	validRunSpecs = []RunSpec{
 		{Algo: "sp"},
 		{Algo: "drl", Train: &TrainSpec{Episodes: 5}},
 		{Algo: "gcasp", MaxBatch: 8},
 		{Algo: "central", Topology: "Abilene", Pattern: "mmpp", Faults: "node-outage:count=1"},
 	}
-	for i, s := range ok {
-		if err := s.Validate(); err != nil {
-			t.Errorf("spec %d: unexpected error %v", i, err)
-		}
-	}
-	bad := []struct {
+	invalidRunSpecs = []struct {
 		spec RunSpec
 		want string
 	}{
@@ -31,7 +28,15 @@ func TestRunSpecValidate(t *testing.T) {
 		{RunSpec{Algo: "sp", Train: &TrainSpec{Episodes: 5}}, "drl"},
 		{RunSpec{Algo: "sp", MaxBatch: -1}, "max_batch"},
 	}
-	for i, tc := range bad {
+)
+
+func TestRunSpecValidate(t *testing.T) {
+	for i, s := range validRunSpecs {
+		if err := s.Validate(); err != nil {
+			t.Errorf("spec %d: unexpected error %v", i, err)
+		}
+	}
+	for i, tc := range invalidRunSpecs {
 		err := tc.spec.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("spec %d: error = %v, want mention of %q", i, err, tc.want)
@@ -122,23 +127,25 @@ func TestSweepExpandNoAxes(t *testing.T) {
 	}
 }
 
+// rejectedSweeps are the Expand rejection cases (FuzzRunSpec seeds too).
+var rejectedSweeps = []struct {
+	sw   SweepSpec
+	want string
+}{
+	{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "color", Values: []string{"red"}}}}, "unknown"},
+	// A removed param must fail loudly, not silently run sequential.
+	{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "shards", Values: []string{"2"}}}}, "unknown"},
+	{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "max_batch"}}}, "no values"},
+	{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "max_batch", Values: []string{"two"}}}}, "max_batch"},
+	// A point that only becomes invalid after combination: a training
+	// budget is drl-only.
+	{SweepSpec{Base: RunSpec{Algo: "drl", Train: &TrainSpec{Episodes: 5}}, Axes: []SweepAxis{
+		{Param: "algo", Values: []string{"sp"}},
+	}}, "drl"},
+}
+
 func TestSweepExpandRejections(t *testing.T) {
-	cases := []struct {
-		sw   SweepSpec
-		want string
-	}{
-		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "color", Values: []string{"red"}}}}, "unknown"},
-		// A removed param must fail loudly, not silently run sequential.
-		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "shards", Values: []string{"2"}}}}, "unknown"},
-		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "max_batch"}}}, "no values"},
-		{SweepSpec{Base: RunSpec{Algo: "sp"}, Axes: []SweepAxis{{Param: "max_batch", Values: []string{"two"}}}}, "max_batch"},
-		// A point that only becomes invalid after combination: a training
-		// budget is drl-only.
-		{SweepSpec{Base: RunSpec{Algo: "drl", Train: &TrainSpec{Episodes: 5}}, Axes: []SweepAxis{
-			{Param: "algo", Values: []string{"sp"}},
-		}}, "drl"},
-	}
-	for i, tc := range cases {
+	for i, tc := range rejectedSweeps {
 		_, err := tc.sw.Expand()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("case %d: error = %v, want mention of %q", i, err, tc.want)

@@ -9,9 +9,9 @@ import (
 )
 
 // PolicyBank is the per-node decision state of a distributed deployment:
-// one actor clone, sampling stream, and inference scratch space per node
-// ID in its set. It is the part of Distributed that does not need the
-// simulator — given an already-built observation row it produces an
+// one read-only actor copy that every node in its set decides with, and
+// per node ID its own sampling stream and inference scratch space. It is
+// the part of Distributed that does not need the simulator — given an already-built observation row it produces an
 // action — which is exactly what a networked agent daemon hosts on the
 // far side of the socket. Distributed wraps a full-node-set bank inside
 // the simulator process; cmd/agentd wraps a partial bank (just its
@@ -26,16 +26,18 @@ import (
 type PolicyBank struct {
 	obsSize    int
 	numActions int
-	// nodes is indexed by node ID. Only IDs in the bank's set have an
-	// actor materialized; the rest stay zero so a dense index (the
-	// simulator's hot path) still works for full banks.
+	// nodes is indexed by node ID. Only IDs in the bank's set are
+	// materialized (their actor points at the bank's copy); the rest stay
+	// zero so a dense index (the simulator's hot path) still works for
+	// full banks.
 	nodes []nodeState
 }
 
-// NewPolicyBank clones the actor for every node ID in ids (nil means all
-// of 0..numNodes-1) and sizes the inference buffers for the given
-// observation/action geometry. Streams start seeded with base seed 1,
-// like NewDistributed; call Reseed for run-specific streams.
+// NewPolicyBank clones the actor once, shares that copy among every node
+// ID in ids (nil means all of 0..numNodes-1), and sizes each node's
+// inference buffers for the given observation/action geometry. Later
+// changes to actor do not reach the bank. Streams start seeded with base
+// seed 1, like NewDistributed; call Reseed for run-specific streams.
 func NewPolicyBank(actor *nn.MLP, numNodes int, ids []int, obsSize, numActions int) (*PolicyBank, error) {
 	if actor.InputSize() != obsSize {
 		return nil, errors.New("coord: actor input size does not match adapter observation size")
@@ -57,14 +59,14 @@ func NewPolicyBank(actor *nn.MLP, numNodes int, ids []int, obsSize, numActions i
 			ids[v] = v
 		}
 	}
+	shared := actor.Clone()
 	for _, v := range ids {
 		if v < 0 || v >= numNodes {
 			return nil, fmt.Errorf("coord: policy bank node ID %d out of range [0,%d)", v, numNodes)
 		}
-		c := actor.Clone()
 		b.nodes[v] = nodeState{
-			actor: c,
-			ws:    c.NewWorkspace(),
+			actor: shared,
+			ws:    shared.NewWorkspace(),
 			obs:   make([]float64, 0, obsSize),
 			probs: make([]float64, numActions),
 		}

@@ -8,12 +8,13 @@ import (
 	"distcoord/internal/simnet"
 )
 
-// nodeState is everything one deployed node owns: its actor copy, its
-// private sampling stream, and the inference scratch buffers that make
-// the steady-state decide path allocation-free. Nothing here is shared
-// across nodes, so nodes may decide concurrently.
+// nodeState is everything one deployed node decides with: the bank's
+// actor, its private sampling stream, and the inference scratch buffers
+// that make the steady-state decide path allocation-free. The actor is
+// only read, so nodes may still decide concurrently; everything else is
+// the node's own.
 type nodeState struct {
-	actor *nn.MLP
+	actor *nn.MLP // shared by every node of the bank, never written
 	rng   *rand.Rand
 	ws    *nn.Workspace
 	obs   []float64
@@ -33,11 +34,13 @@ type nodeState struct {
 // It implements simnet.Coordinator.
 type Distributed struct {
 	adapter *Adapter
-	// bank holds one actor copy, random stream, and inference workspace
-	// per node — deliberately not shared, mirroring the deployment
-	// architecture (and making per-node inference timing honest, Fig. 9b).
-	// The same PolicyBank type, restricted to an assigned node subset,
-	// is what cmd/agentd hosts on the far side of a socket.
+	// bank holds one random stream and inference workspace per node, and
+	// one actor copy that all nodes read. A deployed node holds its own
+	// copy of the trained weights, hot in its own cache; in one process,
+	// one shared copy is what reproduces that (a copy per node would not
+	// fit in cache, and Fig. 9b would time memory traffic instead of
+	// inference). The same PolicyBank type, restricted to an assigned
+	// node subset, is what cmd/agentd hosts on the far side of a socket.
 	bank *PolicyBank
 
 	// Stochastic samples actions from π instead of taking the argmax.
@@ -49,8 +52,8 @@ type Distributed struct {
 	Stochastic bool
 }
 
-// NewDistributed deploys a copy of the trained actor at each node of the
-// adapter's network.
+// NewDistributed deploys the trained actor at each node of the
+// adapter's network (one copy of it, read by every node; see bank).
 func NewDistributed(adapter *Adapter, actor *nn.MLP) (*Distributed, error) {
 	bank, err := NewPolicyBank(actor, adapter.Graph().NumNodes(), nil, adapter.ObsSize(), adapter.NumActions())
 	if err != nil {

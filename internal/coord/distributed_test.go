@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"distcoord/internal/nn"
 	"distcoord/internal/rl"
 	"distcoord/internal/simnet"
 	"distcoord/internal/traffic"
@@ -133,6 +134,32 @@ func TestPerNodeStreamsIndependent(t *testing.T) {
 	interleaved := sequence(true)
 	if !reflect.DeepEqual(plain, interleaved) {
 		t.Error("node 0's decision sequence changed when node 1 decided in between: nodes share a stream")
+	}
+}
+
+// TestPolicyBankSharesOneActor pins the bank's memory contract: every
+// node of a 1000-node bank decides with the same read-only actor copy
+// (not the caller's network, which stays free to change), while each
+// node keeps its own workspace and sampling stream.
+func TestPolicyBankSharesOneActor(t *testing.T) {
+	actor := nn.NewMLP(rand.New(rand.NewSource(1)), 4, 8, 3)
+	const numNodes = 1000
+	b, err := NewPolicyBank(actor, numNodes, nil, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := b.nodes[0].actor
+	if shared == nil || shared == actor {
+		t.Fatalf("bank actor = %p, want a copy of the caller's %p", shared, actor)
+	}
+	for v := 1; v < numNodes; v++ {
+		n := &b.nodes[v]
+		if n.actor != shared {
+			t.Fatalf("node %d decides with actor %p, want the shared %p", v, n.actor, shared)
+		}
+		if n.ws == b.nodes[0].ws || n.rng == b.nodes[0].rng {
+			t.Fatalf("node %d shares node 0's workspace or stream", v)
+		}
 	}
 }
 

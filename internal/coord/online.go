@@ -251,6 +251,10 @@ func (o *Online) Tick(st *simnet.State, now float64) {
 func (o *Online) average() {
 	averageNetworks(paramsOf(o.agents, func(a *rl.Agent) [][]float64 { return a.Actor.Params() }))
 	averageNetworks(paramsOf(o.agents, func(a *rl.Agent) [][]float64 { return a.Critic.Params() }))
+	for _, a := range o.agents {
+		a.Actor.Refresh()
+		a.Critic.Refresh()
+	}
 }
 
 func paramsOf(agents []*rl.Agent, get func(*rl.Agent) [][]float64) [][][]float64 {

@@ -1,11 +1,13 @@
 package coord
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
 	"distcoord/internal/graph"
+	"distcoord/internal/nn"
 	"distcoord/internal/rl"
 	"distcoord/internal/simnet"
 )
@@ -102,6 +104,50 @@ func TestOnlineWeightsSyncedAfterTick(t *testing.T) {
 			for j := range ref[b] {
 				if math.Abs(params[b][j]-ref[b][j]) > 1e-12 {
 					t.Fatalf("node %d weights diverged from node 0 after averaging", v)
+				}
+			}
+		}
+	}
+}
+
+// TestOnlineAveragingRefreshesInference: averaging writes the weights
+// through Params, so every node's networks must forward exactly like a
+// network rebuilt from those weights (a Save/Load round trip) afterwards.
+func TestOnlineAveragingRefreshesInference(t *testing.T) {
+	cfg := easyScenario()
+	online, _ := newOnlineUnderTest(t, cfg, OnlineConfig{SyncInterval: 1e9, MinSteps: 1 << 30})
+	// Give every node different weights so the average moves them all.
+	for v := 0; v < cfg.Graph.NumNodes(); v++ {
+		a := online.AgentAt(graph.NodeID(v))
+		for _, m := range []*nn.MLP{a.Actor, a.Critic} {
+			for _, p := range m.Params() {
+				for j := range p {
+					p[j] += 0.1 * float64(v+1)
+				}
+			}
+			m.Refresh()
+		}
+	}
+	online.average()
+	x := make([]float64, online.AgentAt(0).Actor.InputSize())
+	for i := range x {
+		x[i] = 0.3*float64(i) - 1
+	}
+	for v := 0; v < cfg.Graph.NumNodes(); v++ {
+		a := online.AgentAt(graph.NodeID(v))
+		for _, m := range []*nn.MLP{a.Actor, a.Critic} {
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, err := nn.Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := m.Forward(x), rebuilt.Forward(x)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("node %d output %d = %v after averaging, want %v", v, i, got[i], want[i])
 				}
 			}
 		}

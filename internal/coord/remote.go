@@ -38,7 +38,7 @@ type RemoteOptions struct {
 // Remote implements simnet.Coordinator by forwarding decisions to a
 // fleet of agent daemons over agentnet. The simulator side builds
 // observation rows exactly like Distributed does; the rows cross the
-// socket; the agent's PolicyBank (same actor clone, same per-node stream
+// socket; the agent's PolicyBank (same actor weights, same per-node stream
 // derivation) samples the action. For a healthy fleet a remote run is
 // therefore metric-identical to an in-process Distributed run with the
 // same seed — the equivalence oracle tests pin this.

@@ -296,12 +296,9 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	s.submit(w, sw, "sweep")
 }
 
-// decodeBody strictly decodes a JSON submission (unknown fields are
-// rejected so a typo'd axis name cannot silently no-op).
+// decodeBody strictly decodes a JSON submission (clicfg.DecodeSpec).
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := clicfg.DecodeSpec(io.LimitReader(r.Body, maxSpecBytes), v); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
 		return err
 	}

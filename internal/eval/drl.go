@@ -136,7 +136,7 @@ func TrainDRL(s Scenario, budget TrainBudget) (*TrainedPolicy, error) {
 }
 
 // Factory deploys the trained policy onto each evaluation instance: a
-// fresh adapter for the instance's capacity draw and one actor copy per
+// fresh adapter for the instance's capacity draw and the actor at every
 // node (Fig. 4b).
 func (p *TrainedPolicy) Factory() CoordinatorFactory {
 	return func(inst *Instance, seed int64) (simnet.Coordinator, error) {

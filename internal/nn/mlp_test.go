@@ -95,10 +95,13 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 		for j := range p {
 			orig := p[j]
 			p[j] = orig + h
+			m.Refresh()
 			lPlus := loss()
 			p[j] = orig - h
+			m.Refresh()
 			lMinus := loss()
 			p[j] = orig
+			m.Refresh()
 			numeric := (lPlus - lMinus) / (2 * h)
 			analytic := grads[pi][j]
 			if math.Abs(numeric-analytic) > 1e-5*(1+math.Abs(numeric)) {
@@ -223,6 +226,7 @@ func TestRMSPropReducesLoss(t *testing.T) {
 			m.Backward(tape, []float64{tape.Output()[0] - s[2]})
 		}
 		opt.Step(m.Params(), m.Grads())
+		m.Refresh()
 	}
 	after := lossAt()
 	if after > before/10 {
@@ -322,6 +326,7 @@ func TestAdamReducesLoss(t *testing.T) {
 			m.Backward(tape, []float64{tape.Output()[0] - s[2]})
 		}
 		opt.Step(m.Params(), m.Grads())
+		m.Refresh()
 	}
 	after := lossAt()
 	if after > before/10 {

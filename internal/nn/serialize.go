@@ -109,12 +109,9 @@ func fromJSON(j mlpJSON) (*MLP, error) {
 				}
 			}
 		}
-		m.layers = append(m.layers, &dense{
-			in: in, out: out,
-			w: w, b: b,
-			gw: make([]float64, in*out),
-			gb: make([]float64, out),
-		})
+		d := &dense{in: in, out: out, w: w, wt: make([]float64, in*out), b: b}
+		d.transpose()
+		m.layers = append(m.layers, d)
 	}
 	return m, nil
 }

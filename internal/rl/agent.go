@@ -238,6 +238,7 @@ func (a *Agent) Update(batch []Trajectory) (UpdateStats, error) {
 	st.ValueLoss /= float64(len(steps))
 	nn.ClipGradients(a.Critic.Grads(), a.cfg.MaxGradNorm)
 	a.criticOpt.Step(a.Critic.Params(), a.Critic.Grads())
+	a.Critic.Refresh()
 
 	// Normalize advantages for stable policy steps under the ±10 reward
 	// scale.
@@ -280,6 +281,7 @@ func (a *Agent) Update(batch []Trajectory) (UpdateStats, error) {
 		st.Entropy /= float64(len(steps))
 		norm := nn.ClipGradients(a.Actor.Grads(), a.cfg.MaxGradNorm)
 		a.actorOpt.Step(a.Actor.Params(), a.Actor.Grads())
+		a.Actor.Refresh()
 		return norm
 	}
 

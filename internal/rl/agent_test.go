@@ -1,9 +1,12 @@
 package rl
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
+
+	"distcoord/internal/nn"
 )
 
 func smallConfig() AgentConfig {
@@ -177,6 +180,48 @@ func TestKLGuardBoundsUpdates(t *testing.T) {
 	}
 	if !backtracked {
 		t.Error("KL guard never engaged despite destructive learning rate")
+	}
+}
+
+// TestUpdateKeepsInferenceCurrent: Update writes both networks through
+// their optimizers (and rolls the actor back when the KL guard fires),
+// so afterwards each must forward exactly like a network rebuilt from
+// its saved weights.
+func TestUpdateKeepsInferenceCurrent(t *testing.T) {
+	cfg := smallConfig()
+	cfg.LR = 0.5
+	cfg.KLLimit = 0.001
+	a, err := NewAgent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for iter := 0; iter < 3; iter++ {
+		var batch []Trajectory
+		for i := 0; i < 8; i++ {
+			obs := []float64{rng.Float64(), rng.Float64()}
+			batch = append(batch, Trajectory{Steps: []Step{{Obs: obs, Action: a.SampleAction(obs, rng), Reward: rng.Float64() * 20}}})
+		}
+		if _, err := a.Update(batch); err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range map[string]*nn.MLP{"actor": a.Actor, "critic": a.Critic} {
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, err := nn.Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := []float64{0.25, -0.75}
+			got, want := m.Forward(x), rebuilt.Forward(x)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("update %d: %s output %d = %v, rebuilt network %v", iter, name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
